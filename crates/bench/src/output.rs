@@ -7,11 +7,14 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Directory where CSVs are written (`ULBA_RESULTS` env override,
-/// `results/` by default).
+/// `results/` at the workspace root by default — whatever the working
+/// directory, so `cargo test` from a crate directory writes there too).
 pub fn results_dir() -> PathBuf {
-    let dir = std::env::var_os("ULBA_RESULTS")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"));
+    let dir = std::env::var_os("ULBA_RESULTS").map(PathBuf::from).unwrap_or_else(|| {
+        // This crate sits at `<workspace>/crates/bench`.
+        let workspace = Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2);
+        workspace.expect("crate lives two levels below the workspace root").join("results")
+    });
     fs::create_dir_all(&dir).expect("cannot create results directory");
     dir
 }

@@ -27,7 +27,8 @@ pub const LB_ROOT: usize = 0;
 /// Result of a rebalancing step, as seen by every rank.
 #[derive(Debug, Clone)]
 pub struct RebalanceOutcome {
-    /// The new global partition (item index space).
+    /// The new global partition (item index space); every range holds at
+    /// least one item ([`Partition::ensure_nonempty`]).
     pub partition: Partition,
     /// The share decision taken on the root (N, majority fallback, shares).
     pub decision: ShareDecision,
@@ -88,7 +89,8 @@ pub async fn centralized_rebalance(
         let decision = compute_shares(&alphas);
         // PartitionAccordingToWeights: charge the prefix walk on the root.
         ctx.compute(PARTITION_FLOP_PER_ITEM * weights.len() as f64);
-        let partition = partition_by_shares(&weights, &decision.shares);
+        // Repaired once here, so no rank has to rescan the bounds.
+        let partition = partition_by_shares(&weights, &decision.shares).ensure_nonempty();
         (partition, decision)
     });
     let bcast_bytes =

@@ -157,17 +157,24 @@ impl std::str::FromStr for LbPolicy {
 
 /// Outlier score of `rank` for the policy's configured detection statistic
 /// in the dense WIR population implied by the database (unknown ranks
-/// default to 0.0). The paper's plain z-score streams over the known
-/// entries — bit-identical to scoring a materialized dense vector, without
-/// allocating one; the median/MAD robust variant still sorts a dense copy
-/// (it needs the order statistics anyway). Shared by every workload that
-/// consumes a policy (erosion, synthetic scenarios).
+/// default to 0.0). Shared by every workload that consumes a policy
+/// (erosion, synthetic scenarios).
+///
+/// The standard policy's α is 0 whatever the score, so it scores 0.0
+/// without touching the database. Under ULBA the cost stays `O(P)` per
+/// rank: the paper's plain z-score streams over the dense default-filled
+/// view (no allocation), and its variance is a rank-order `f64` sum with
+/// the default fill interleaved between the known entries — summing the
+/// known entries plus an analytic count of the fill would round
+/// differently and change the bits of every α decision. The median/MAD
+/// robust variant sorts a dense copy (it needs the order statistics).
 pub fn outlier_score(policy: &LbPolicy, db: &WirDatabase, rank: usize) -> f64 {
     match policy {
+        LbPolicy::Standard => 0.0,
         LbPolicy::Ulba(cfg) if cfg.stat == DetectionStat::RobustZScore => {
             robust_z_scores(&db.wirs_or(0.0))[rank]
         }
-        _ => {
+        LbPolicy::Ulba(_) => {
             let (m, sd) = z_params(db.wirs_iter(0.0), db.size());
             z_from(db.get(rank).map_or(0.0, |e| e.wir), m, sd)
         }
@@ -221,6 +228,11 @@ mod tests {
         let p = LbPolicy::Standard;
         assert_eq!(p.alpha_for(100.0), 0.0);
         assert_eq!(p.name(), "standard");
+        // Its α never depends on the score, so scoring skips the database.
+        let mut db = WirDatabase::new(8);
+        db.update(crate::db::WirEntry { rank: 3, wir: 1e6, iteration: 0 });
+        assert_eq!(outlier_score(&p, &db, 3), 0.0);
+        assert!(outlier_score(&LbPolicy::ulba_fixed(0.4), &db, 3) > 0.0);
     }
 
     #[test]

@@ -221,9 +221,13 @@ async fn rank_program(
 
         // (5) Iteration-end sync: share (elapsed, workload).
         let elapsed = ctx.now() - iter_start;
-        let stats = ctx.allgather((elapsed, workload_flops), 16).await;
-        let t_iter = stats.iter().map(|s| s.0).fold(0.0f64, f64::max);
-        let wtot_flops: f64 = stats.iter().map(|s| s.1).sum();
+        let (t_iter, wtot_flops) = ctx
+            .allgather_fold((elapsed, workload_flops), 16, |stats| {
+                let t_iter = stats.iter().map(|s| s.0).fold(0.0f64, f64::max);
+                let wtot_flops: f64 = stats.iter().map(|s| s.1).sum();
+                (t_iter, wtot_flops)
+            })
+            .await;
 
         // Drain gossip *after* the rendezvous: every message posted this
         // iteration is now guaranteed present, so the merged set (and
@@ -231,20 +235,6 @@ async fn rank_program(
         for (_, snap) in ctx.drain::<Vec<WirEntry>>(GOSSIP_TAG) {
             db.merge(&snap);
         }
-
-        if rank == 0 && std::env::var_os("ULBA_DEBUG2").is_some() && iter % 8 == 0 {
-            let (argmax, &(tmax, w)) = stats
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1 .0.partial_cmp(&b.1 .0).expect("finite"))
-                .expect("non-empty");
-            eprintln!("[it {iter}] max rank {argmax} t={tmax:.4} w={w:.3e}");
-        }
-        // Only the two scalars above survive the allgather: release
-        // the `O(P)` per-rank stats vector *before* the next awaits,
-        // or P concurrent copies of it (`O(P²)` resident — tens of
-        // GB at P = 65536) sit parked across every rendezvous.
-        drop(stats);
 
         // (6) LB decision on rank 0, broadcast to everyone.
         let my_flag = if rank == 0 {
@@ -300,13 +290,11 @@ async fn rank_program(
             };
             let outcome =
                 centralized_rebalance(&mut ctx, my_alpha, stripe.first_col(), &split_weights).await;
-            let partition = outcome.partition.clone().ensure_nonempty();
-            // The range allgather stays for its virtual cost, but
-            // its payload is redundant — every rank's range *is*
-            // its slot of the cached previous partition — so the
-            // `O(P)` result is dropped instead of being held by
-            // all P ranks across the migration awaits.
-            let _ = ctx.allgather((stripe.first_col(), stripe.len()), 16).await;
+            let partition = outcome.partition;
+            // The range allgather stays for its virtual cost, but its
+            // payload is redundant — every rank's range *is* its slot of
+            // the cached previous partition — so nothing is gathered.
+            ctx.allgather_fold((stripe.first_col(), stripe.len()), 16, |_| ()).await;
             stripe = migrate(&mut ctx, stripe, &prev_partition, &partition).await;
             prev_partition = partition.clone();
             let measured = ctx.now() - lb_started;

@@ -17,7 +17,7 @@
 
 use crate::cost::MachineSpec;
 use crate::engine::RunShared;
-use crate::hub::ExchangeRound;
+use crate::hub::{ExchangeRound, RoundValues};
 use crate::mailbox::{Received, Tag};
 use crate::metrics::{RankMetrics, TimeKind};
 use crate::time::VirtualTime;
@@ -261,6 +261,10 @@ impl SpmdCtx {
     }
 
     /// Gather `value` from every rank onto every rank (rank-indexed).
+    ///
+    /// Every rank receives its own `O(P)` copy; when only a reduction of
+    /// the gathered values is needed, [`SpmdCtx::allgather_fold`] charges
+    /// the same virtual cost without the copies.
     pub async fn allgather<T: Clone + Send + Sync + 'static>(
         &mut self,
         value: T,
@@ -272,8 +276,28 @@ impl SpmdCtx {
         round.values.to_vec()
     }
 
-    /// Reduce `value` across ranks with `combine` (must be associative and
-    /// commutative); every rank receives the result.
+    /// An [`SpmdCtx::allgather`] whose every rank receives `fold` of the
+    /// rank-indexed values instead of the values themselves. The fold runs
+    /// **once** per round (on whichever rank collects first) and its result
+    /// is cloned to every rank, so it must be the same deterministic
+    /// function on every rank; virtual cost and trace are exactly those of
+    /// `allgather`.
+    pub async fn allgather_fold<T, R, F>(&mut self, value: T, bytes_per_rank: usize, fold: F) -> R
+    where
+        T: Clone + Send + Sync + 'static,
+        R: Clone + Send + Sync + 'static,
+        F: FnOnce(&RoundValues<T>) -> R,
+    {
+        let round = self.exchange("allgather", value).await;
+        let cost = self.shared.spec.allgather_secs(self.size, bytes_per_rank);
+        self.sync_traced("allgather", round.max_clock, cost);
+        round.values.fold_once("allgather", self.shared.job_id(), fold)
+    }
+
+    /// Reduce `value` across ranks with `combine`; every rank receives the
+    /// left fold of the values in rank order, computed once per round (see
+    /// [`SpmdCtx::allgather_fold`]), so even a non-associative `combine`
+    /// (an `f64` sum) yields the same bits on every rank and backend.
     pub async fn allreduce<T, F>(&mut self, value: T, bytes: usize, combine: F) -> T
     where
         T: Clone + Send + Sync + 'static,
@@ -282,12 +306,11 @@ impl SpmdCtx {
         let round = self.exchange("allreduce", value).await;
         let cost = self.shared.spec.allreduce_secs(self.size, bytes);
         self.sync_traced("allreduce", round.max_clock, cost);
-        let mut values = round.values.iter();
-        let mut acc = values.next().expect("at least one rank deposited").clone();
-        for v in values {
-            acc = combine(&acc, v);
-        }
-        acc
+        round.values.fold_once("allreduce", self.shared.job_id(), |values| {
+            let mut values = values.iter();
+            let first = values.next().expect("at least one rank deposited").clone();
+            values.fold(first, |acc, v| combine(&acc, v))
+        })
     }
 
     /// Sum an `f64` across all ranks.

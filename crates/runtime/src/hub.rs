@@ -55,7 +55,7 @@ use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::ops::Index;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::task::Waker;
 
 /// Fan-in of the reduction tree combining shard completions: each internal
@@ -75,11 +75,19 @@ pub struct RoundValues<T> {
     width: usize,
     /// Total rank count.
     len: usize,
+    /// The round's reduction, computed once by the first rank to ask
+    /// ([`RoundValues::fold_once`]) and shared by every other rank.
+    memo: Arc<OnceLock<Box<dyn Any + Send + Sync>>>,
 }
 
 impl<T> Clone for RoundValues<T> {
     fn clone(&self) -> Self {
-        Self { chunks: Arc::clone(&self.chunks), width: self.width, len: self.len }
+        Self {
+            chunks: Arc::clone(&self.chunks),
+            width: self.width,
+            len: self.len,
+            memo: Arc::clone(&self.memo),
+        }
     }
 }
 
@@ -88,7 +96,32 @@ impl<T> RoundValues<T> {
     /// `S = 1` shape); used by tests and single-shard assembly alike.
     pub fn from_vec(values: Vec<T>) -> Self {
         let len = values.len();
-        Self { chunks: Arc::new(vec![Arc::new(values)]), width: len.max(1), len }
+        Self::from_chunks(vec![Arc::new(values)], len.max(1), len)
+    }
+
+    fn from_chunks(chunks: Vec<Arc<Vec<T>>>, width: usize, len: usize) -> Self {
+        Self { chunks: Arc::new(chunks), width, len, memo: Arc::new(OnceLock::new()) }
+    }
+
+    /// The round's reduction `fold(values)`, computed **once** per round:
+    /// the first caller runs `fold`, every later caller (any clone of the
+    /// round) gets a clone of its result, so a collective costs `O(P)`
+    /// host work in total instead of `O(P)` per rank. Every rank must pass
+    /// the same (deterministic, rank-order) fold — which rank runs it is
+    /// scheduling-dependent. Asking for a different result type than the
+    /// one memoized panics, naming `op_name` and the job (`job_tag`).
+    pub(crate) fn fold_once<R, F>(&self, op_name: &'static str, job: u64, fold: F) -> R
+    where
+        R: Clone + Send + Sync + 'static,
+        F: FnOnce(&Self) -> R,
+    {
+        self.memo
+            .get_or_init(|| Box::new(fold(self)))
+            .downcast_ref::<R>()
+            .unwrap_or_else(|| {
+                panic!("collective `{op_name}`: result type mismatch across ranks{}", job_tag(job))
+            })
+            .clone()
     }
 
     /// Number of participating ranks.
@@ -559,8 +592,7 @@ impl Hub {
             chunks.push(chunk);
             max_clock = max_clock.max(st.max_clock);
         }
-        let values =
-            RoundValues { chunks: Arc::new(chunks), width: self.shard_width, len: self.size };
+        let values = RoundValues::from_chunks(chunks, self.shard_width, self.size);
         let mut to_wake = Vec::new();
         for shard in &self.shards {
             let mut st = shard.state.lock();

@@ -172,12 +172,13 @@ async fn rank_program(
 
         // (4) Iteration-end sync: share (elapsed, workload).
         let elapsed = ctx.now() - iter_start;
-        let stats = ctx.allgather((elapsed, workload_flops), 16).await;
-        let t_iter = stats.iter().map(|s| s.0).fold(0.0f64, f64::max);
-        let wtot_flops: f64 = stats.iter().map(|s| s.1).sum();
-        // Only the two scalars survive: release the O(P) vector before
-        // the next awaits (P concurrent copies would be O(P²) resident).
-        drop(stats);
+        let (t_iter, wtot_flops) = ctx
+            .allgather_fold((elapsed, workload_flops), 16, |stats| {
+                let t_iter = stats.iter().map(|s| s.0).fold(0.0f64, f64::max);
+                let wtot_flops: f64 = stats.iter().map(|s| s.1).sum();
+                (t_iter, wtot_flops)
+            })
+            .await;
 
         // Drain after the rendezvous: every message posted this iteration
         // is guaranteed present, so the merged set is deterministic.
@@ -220,8 +221,7 @@ async fn rank_program(
             table.task_weights_into(phase, &my_range, tpr, &mut weights_scratch);
             let outcome =
                 centralized_rebalance(&mut ctx, my_alpha, my_range.start, &weights_scratch).await;
-            let partition = outcome.partition.clone().ensure_nonempty();
-            let bounds = partition.bounds();
+            let bounds = outcome.partition.bounds();
             let new_range = bounds[rank]..bounds[rank + 1];
             // Migration cost: tasks that changed owner drag `task_bytes`
             // each over the wire (modelled — the tasks have no real
