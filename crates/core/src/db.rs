@@ -22,6 +22,7 @@
 //! ([`crate::gossip::GossipOutbox`]) uses to send a peer only the entries
 //! it cannot have seen yet.
 
+use crate::outlier::{add_repeated, RobustParams};
 use serde::{Deserialize, Serialize};
 
 /// One database entry: the WIR of `rank` as measured at `iteration`.
@@ -164,20 +165,129 @@ impl WirDatabase {
 
     /// Dense WIR vector: unknown ranks default to `default` (rank order).
     ///
-    /// Materializes `O(size)` — prefer [`wirs_iter`](Self::wirs_iter) on
-    /// hot paths; this remains for consumers that genuinely need the dense
-    /// vector (e.g. the median/MAD robust detector, which sorts it anyway).
+    /// Materializes `O(size)`. No hot path uses it: it is the oracle the
+    /// sparse statistics ([`z_params`](Self::z_params),
+    /// [`robust_params`](Self::robust_params)) are tested against, and a
+    /// debugging aid.
     pub fn wirs_or(&self, default: f64) -> Vec<f64> {
         self.wirs_iter(default).collect()
     }
 
     /// Iterate the dense WIR view — `wir` for known ranks, `default` for
     /// unknown ones, in rank order — without materializing it. Yields
-    /// exactly the same sequence as [`wirs_or`](Self::wirs_or), so
-    /// statistics folded over it (in order) are bit-identical to the dense
-    /// path.
+    /// exactly the same sequence as [`wirs_or`](Self::wirs_or). Still
+    /// `O(size)` per pass, so like `wirs_or` it is an oracle and debugging
+    /// aid; statistics use [`dense_sum`](Self::dense_sum), which folds the
+    /// same sequence bit for bit in `O(known · log size)`.
     pub fn wirs_iter(&self, default: f64) -> WirsIter<'_> {
         WirsIter { slots: &self.slots, next_rank: 0, size: self.size, default }
+    }
+
+    /// Fold the dense view as runs, in rank order: each known entry as
+    /// `(wir, 1)`, each non-empty gap of unknown ranks as `(fill, length)`.
+    pub(crate) fn fold_runs<A>(
+        &self,
+        fill: f64,
+        init: A,
+        mut f: impl FnMut(A, f64, usize) -> A,
+    ) -> A {
+        let mut acc = init;
+        let mut next_rank = 0;
+        for slot in &self.slots {
+            let gap = slot.entry.rank - next_rank;
+            if gap > 0 {
+                acc = f(acc, fill, gap);
+            }
+            acc = f(acc, slot.entry.wir, 1);
+            next_rank = slot.entry.rank + 1;
+        }
+        match self.size - next_rank {
+            0 => acc,
+            gap => f(acc, fill, gap),
+        }
+    }
+
+    /// `self.wirs_iter(fill).map(f).sum::<f64>()`, bit for bit, in
+    /// `O(known · log size)`: every gap of unknown ranks adds the one
+    /// repeated term `f(fill)` through [`add_repeated`].
+    pub fn dense_sum(&self, fill: f64, f: impl Fn(f64) -> f64) -> f64 {
+        // `Iterator::sum`'s own starting value (it decides the sign of an
+        // all-zero sum), so the two can never drift apart.
+        let start: f64 = std::iter::empty::<f64>().sum();
+        self.fold_runs(fill, start, |s, w, count| add_repeated(s, f(w), count))
+    }
+
+    /// The `(mean, population σ)` of the dense view with unknown ranks at
+    /// `fill`: bit for bit `outlier::z_params(self.wirs_iter(fill),
+    /// self.size())`, in `O(known · log size)`.
+    pub fn z_params(&self, fill: f64) -> (f64, f64) {
+        let n = self.size;
+        if n == 0 {
+            return (0.0, 0.0);
+        }
+        let m = self.dense_sum(fill, |w| w) / n as f64;
+        if n < 2 {
+            return (m, 0.0);
+        }
+        (m, (self.dense_sum(fill, |w| (w - m) * (w - m)) / n as f64).sqrt())
+    }
+
+    /// The median/MAD parameters of the dense view with unknown ranks at
+    /// `fill`: `score` reproduces `robust_z_scores(&self.wirs_or(fill))`
+    /// bit for bit, in `O(known · log known)` — the order statistics come
+    /// from the sorted known entries plus one block of fill values.
+    pub fn robust_params(&self, fill: f64) -> RobustParams {
+        let med = self.dense_median(fill, |w| w);
+        let deviation = |w: f64| (w - med).abs();
+        RobustParams::new(med, self.dense_median(fill, deviation), || match self.size {
+            0 => 0.0,
+            n => self.dense_sum(fill, deviation) / n as f64,
+        })
+    }
+
+    /// `outlier::median` of the dense view mapped through `f`, bit for bit.
+    fn dense_median(&self, fill: f64, f: impl Fn(f64) -> f64) -> f64 {
+        let n = self.size;
+        if n == 0 {
+            return 0.0;
+        }
+        let fill_value = f(fill);
+        let gap = n - self.slots.len();
+        // Known entries as (slot index, rank, value), stable-sorted by value
+        // like the dense sort: equal values stay in rank order.
+        let mut known: Vec<(usize, usize, f64)> =
+            self.slots.iter().enumerate().map(|(i, s)| (i, s.entry.rank, f(s.entry.wir))).collect();
+        known.sort_by(|a, b| a.2.partial_cmp(&b.2).expect("finite values"));
+        let cmp_fill = |v: f64| v.partial_cmp(&fill_value).expect("finite values");
+        let (below, equal) = if gap == 0 {
+            (known.len(), 0)
+        } else {
+            let below = known.partition_point(|k| cmp_fill(k.2).is_lt());
+            (below, known[below..].partition_point(|k| cmp_fill(k.2).is_eq()))
+        };
+        // The k-th element of the dense sorted view. Elements equal to the
+        // fill sort in rank order, and they need not share its bits (±0.0):
+        // a known entry at slot i, rank r, j-th among the equal known ones,
+        // sits at j + (r − i) in that group, as r − i unknown ranks precede it.
+        let order_stat = |k: usize| {
+            if k < below {
+                return known[k].2;
+            }
+            if k >= below + equal + gap {
+                return known[k - gap].2;
+            }
+            let t = k - below;
+            known[below..below + equal]
+                .iter()
+                .enumerate()
+                .find(|&(j, &(i, r, _))| j + (r - i) == t)
+                .map_or(fill_value, |(_, k)| k.2)
+        };
+        if n % 2 == 1 {
+            order_stat(n / 2)
+        } else {
+            (order_stat(n / 2 - 1) + order_stat(n / 2)) / 2.0
+        }
     }
 
     /// Maximum staleness (in iterations) of any known entry relative to

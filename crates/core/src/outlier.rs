@@ -46,10 +46,68 @@ pub fn std_dev_iter<I: Iterator<Item = f64> + Clone>(values: I, n: usize) -> f64
 
 /// The `(mean, population σ)` pair parameterizing [`z_scores`], computed
 /// streaming. With these, `z_from(x, mean, sd)` reproduces `z_scores`'s
-/// entry for any `x` of the population bit-for-bit — the allocation-free
-/// path for sparse-database consumers scoring `O(P)` populations.
+/// entry for any `x` of the population bit-for-bit. Over a sparse WIR
+/// database, [`WirDatabase::z_params`](crate::db::WirDatabase::z_params)
+/// gives the same pair without streaming the unknown ranks' fill.
 pub fn z_params<I: Iterator<Item = f64> + Clone>(values: I, n: usize) -> (f64, f64) {
     (mean_iter(values.clone(), n), std_dev_iter(values, n))
+}
+
+/// `n` successive additions of `c` to `s`: bit for bit the value of
+/// `(0..n).fold(s, |s, _| s + c)`, for every input, in `O(log n)` real
+/// additions instead of `n`.
+///
+/// This is what lets statistics over a sparse population with one
+/// repeated fill value skip the fill without changing a single bit (see
+/// [`WirDatabase::dense_sum`](crate::db::WirDatabase::dense_sum)). Inside
+/// one binade the grid spacing `u` is fixed, so from any grid point the
+/// rounded sum `fl(s + c)` moves by the same whole number of `u` —
+/// except on a tie (`c` exactly halfway between two steps), where the
+/// step depends on the parity of the significand. The loop therefore
+/// does one real add, reads the step off the bit patterns, and jumps by
+/// integer arithmetic to the last grid point the same step reaches
+/// inside the binade. It does a real add at every binade crossing, on a
+/// tie from an odd significand, from zero and for non-finite values, and
+/// it stops as soon as an add leaves `s` unchanged (every later add then
+/// repeats it).
+pub fn add_repeated(mut s: f64, c: f64, mut n: usize) -> f64 {
+    const SIGN: u64 = 1 << 63;
+    const EXP: u64 = 0x7ff << 52;
+    const MANT: u64 = (1 << 52) - 1;
+    while n > 0 {
+        let next = s + c;
+        n -= 1;
+        let (sb, nb) = (s.to_bits(), next.to_bits());
+        if n == 0 || nb == sb {
+            return next;
+        }
+        let binade = sb & EXP;
+        // Jump only between finite, non-zero, same-sign values of one
+        // binade; there `next - s` and `c - (next - s)` are both exact.
+        if (sb ^ nb) & (SIGN | EXP) != 0 || binade == EXP || s == 0.0 {
+            s = next;
+            continue;
+        }
+        let ulp = f64::from_bits(binade | 1) - f64::from_bits(binade);
+        let tie = 2.0 * (c - (next - s)).abs() == ulp;
+        // On a tie the step is constant only from an even significand
+        // (ties go to even, so every step then lands on an even one).
+        if tie && sb & 1 == 1 {
+            s = next;
+            continue;
+        }
+        // Magnitude bit patterns are the grid index within the binade.
+        let (from, to) = ((sb & !SIGN) as i64, (nb & !SIGN) as i64);
+        let step = to - from;
+        // Every jumped landing point must stay in the binade's interior:
+        // at most its largest value, and strictly above its power of two
+        // (a landing point there would round on the finer grid below).
+        let room = if step > 0 { (binade | MANT) as i64 - to } else { to - binade as i64 - 1 };
+        let jumps = (room.max(0) / step.abs()).min(n as i64);
+        s = f64::from_bits((sb & SIGN) | (to + jumps * step) as u64);
+        n -= jumps as usize;
+    }
+    s
 }
 
 /// z-score of `value` given precomputed [`z_params`] (0 when the
@@ -104,9 +162,42 @@ pub fn z_scores(values: &[f64]) -> Vec<f64> {
 pub fn robust_z_scores(values: &[f64]) -> Vec<f64> {
     let med = median(values);
     let deviations: Vec<f64> = values.iter().map(|v| (v - med).abs()).collect();
-    let mad = median(&deviations);
-    let (scale, factor) = if mad > 0.0 { (mad, 0.6745) } else { (mean(&deviations), 1.2533) };
-    values.iter().map(|v| if scale == 0.0 { 0.0 } else { factor * (v - med) / scale }).collect()
+    let robust = RobustParams::new(med, median(&deviations), || mean(&deviations));
+    values.iter().map(|&v| robust.score(v)).collect()
+}
+
+/// What parameterizes [`robust_z_scores`]: the median and the scale with
+/// its consistency factor. With these, [`score`](Self::score) reproduces
+/// `robust_z_scores`'s entry for any value of the population bit for bit
+/// — the path for consumers that get the order statistics without a
+/// dense copy (see `WirDatabase::robust_params`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RobustParams {
+    /// Population median.
+    pub median: f64,
+    /// The MAD, or the mean absolute deviation when the MAD is zero.
+    pub scale: f64,
+    /// The scale's consistency factor (0.6745 or 1.2533).
+    pub factor: f64,
+}
+
+impl RobustParams {
+    /// From the median and the MAD; `mean_deviation` (the mean absolute
+    /// deviation, summed in population order) is only evaluated when the
+    /// MAD is not positive.
+    pub fn new(median: f64, mad: f64, mean_deviation: impl FnOnce() -> f64) -> Self {
+        let (scale, factor) = if mad > 0.0 { (mad, 0.6745) } else { (mean_deviation(), 1.2533) };
+        Self { median, scale, factor }
+    }
+
+    /// Robust z-score of `value` (0 when the population has no spread).
+    pub fn score(&self, value: f64) -> f64 {
+        if self.scale == 0.0 {
+            0.0
+        } else {
+            self.factor * (value - self.median) / self.scale
+        }
+    }
 }
 
 /// Which detection statistic to use.

@@ -4,7 +4,7 @@
 //! study E-A2).
 
 use crate::db::WirDatabase;
-use crate::outlier::{robust_z_scores, z_from, z_params, DetectionStat, DEFAULT_Z_THRESHOLD};
+use crate::outlier::{add_repeated, z_from, DetectionStat, RobustParams, DEFAULT_Z_THRESHOLD};
 use serde::{Deserialize, Serialize};
 
 /// How an overloading PE picks its α when calling the load balancer.
@@ -161,32 +161,55 @@ impl std::str::FromStr for LbPolicy {
 /// (erosion, synthetic scenarios).
 ///
 /// The standard policy's α is 0 whatever the score, so it scores 0.0
-/// without touching the database. Under ULBA the cost stays `O(P)` per
-/// rank: the paper's plain z-score streams over the dense default-filled
-/// view (no allocation), and its variance is a rank-order `f64` sum with
-/// the default fill interleaved between the known entries — summing the
-/// known entries plus an analytic count of the fill would round
-/// differently and change the bits of every α decision. The median/MAD
-/// robust variant sorts a dense copy (it needs the order statistics).
+/// without touching the database. Under ULBA the statistic comes from the
+/// database's sparse parameters, bit for bit what the dense default-filled
+/// view would give: the plain z-score's mean and variance are rank-order
+/// sums in which every unknown rank adds the same term, and
+/// [`add_repeated`](crate::outlier::add_repeated) rounds a run of those
+/// exactly as the dense loop does, so the cost is `O(known · log P)`
+/// instead of `O(P)`. The median/MAD variant takes its order statistics
+/// from the sorted known entries plus one block of fills.
 pub fn outlier_score(policy: &LbPolicy, db: &WirDatabase, rank: usize) -> f64 {
     match policy {
         LbPolicy::Standard => 0.0,
-        LbPolicy::Ulba(cfg) if cfg.stat == DetectionStat::RobustZScore => {
-            robust_z_scores(&db.wirs_or(0.0))[rank]
+        LbPolicy::Ulba(cfg) => Scorer::new(cfg.stat, db).score(db.get(rank).map_or(0.0, |e| e.wir)),
+    }
+}
+
+/// A detection statistic's parameters over the dense default-filled view.
+enum Scorer {
+    Z { mean: f64, sd: f64 },
+    Robust(RobustParams),
+}
+
+impl Scorer {
+    fn new(stat: DetectionStat, db: &WirDatabase) -> Self {
+        match stat {
+            DetectionStat::ZScore => {
+                let (mean, sd) = db.z_params(0.0);
+                Scorer::Z { mean, sd }
+            }
+            DetectionStat::RobustZScore => Scorer::Robust(db.robust_params(0.0)),
         }
-        LbPolicy::Ulba(_) => {
-            let (m, sd) = z_params(db.wirs_iter(0.0), db.size());
-            z_from(db.get(rank).map_or(0.0, |e| e.wir), m, sd)
+    }
+
+    fn score(&self, wir: f64) -> f64 {
+        match self {
+            Scorer::Z { mean, sd } => z_from(wir, *mean, *sd),
+            Scorer::Robust(robust) => robust.score(wir),
         }
     }
 }
 
-/// Count and sum the positive α of a z-score stream (rank order).
-fn fold_alphas(zs: impl Iterator<Item = f64>, cfg: &UlbaConfig) -> (usize, f64) {
-    zs.fold((0usize, 0.0f64), |(n, sum), z| {
-        let a = cfg.alpha_for(z);
+/// Count and sum the positive α over the dense view (rank order). A gap of
+/// unknown ranks shares one α, so it adds its length to the count and its
+/// run of α to the sum at once.
+fn fold_alphas(db: &WirDatabase, cfg: &UlbaConfig) -> (usize, f64) {
+    let scorer = Scorer::new(cfg.stat, db);
+    db.fold_runs(0.0, (0usize, 0.0f64), |(n, sum), wir, count| {
+        let a = cfg.alpha_for(scorer.score(wir));
         if a > 0.0 {
-            (n + 1, sum + a)
+            (n + count, add_repeated(sum, a, count))
         } else {
             (n, sum)
         }
@@ -206,12 +229,7 @@ pub fn estimate_ulba_overhead(
     let LbPolicy::Ulba(cfg) = policy else {
         return 0.0;
     };
-    let (n_hat, alpha_sum) = if cfg.stat == DetectionStat::RobustZScore {
-        fold_alphas(robust_z_scores(&db.wirs_or(0.0)).into_iter(), cfg)
-    } else {
-        let (m, sd) = z_params(db.wirs_iter(0.0), db.size());
-        fold_alphas(db.wirs_iter(0.0).map(|w| z_from(w, m, sd)), cfg)
-    };
+    let (n_hat, alpha_sum) = fold_alphas(db, cfg);
     if n_hat == 0 || n_hat >= p {
         return 0.0;
     }

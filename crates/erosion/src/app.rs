@@ -41,7 +41,6 @@ use std::sync::Arc;
 use ulba_core::balancer::centralized_rebalance;
 use ulba_core::db::{wire_bytes, WirDatabase, WirEntry};
 use ulba_core::gossip::{select_peers, GossipOutbox};
-use ulba_core::outlier::z_scores;
 use ulba_core::partition::{predicted_weights, Partition};
 #[cfg(test)]
 use ulba_core::policy::LbPolicy;
@@ -301,14 +300,6 @@ async fn rank_program(
             let cost = ctx.allreduce_max(measured).await;
             ctx.end_lb();
             if rank == 0 {
-                if std::env::var_os("ULBA_DEBUG3").is_some() {
-                    let wirs = db.wirs_or(0.0);
-                    let zs = z_scores(&wirs);
-                    let mut top: Vec<(usize, f64, f64)> =
-                        wirs.iter().zip(&zs).enumerate().map(|(r, (&w, &z))| (r, w, z)).collect();
-                    top.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("finite"));
-                    eprintln!("[wir] iter={iter} top: {:?}", &top[..4.min(top.len())]);
-                }
                 if std::env::var_os("ULBA_DEBUG").is_some() {
                     eprintln!(
                         "[lb] iter={iter} measured_cost={cost:.4}s alpha_root={my_alpha:.2} \

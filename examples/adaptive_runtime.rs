@@ -12,7 +12,7 @@
 //! runs the same program (with a bit-identical report) on the
 //! work-stealing pool instead of one thread per rank.
 
-use ulba::core::outlier::{z_from, z_params};
+use ulba::core::outlier::z_from;
 use ulba::core::prelude::*;
 use ulba::runtime::{run, RunConfig};
 
@@ -84,9 +84,9 @@ fn main() {
                 // A synthetic fixed LB cost (repartitioning a real domain
                 // is never free; without it the trigger would thrash).
                 ctx.elapse_lb(0.05);
-                // Streaming z-score: same value z_scores(&db.wirs_or(0.0))[rank]
-                // would give, without materializing the dense vector.
-                let (m, sd) = z_params(db.wirs_iter(0.0), p);
+                // Sparse z-score: bit for bit what z_scores(&db.wirs_or(0.0))[rank]
+                // would give, in O(known entries · log P) instead of O(P).
+                let (m, sd) = db.z_params(0.0);
                 let my_z = z_from(db.get(rank).map_or(0.0, |e| e.wir), m, sd);
                 let alpha = LbPolicy::ulba_fixed(0.3).alpha_for(my_z);
                 let outcome = centralized_rebalance(&mut ctx, alpha, start, &weights).await;
