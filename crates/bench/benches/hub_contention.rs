@@ -1,4 +1,4 @@
-//! Contention of the collective rendezvous hub under the parallel backend.
+//! Contention of the collective rendezvous hub on the job server.
 //!
 //! A barrier-storm BSP program (two collectives per round, negligible
 //! compute) makes the hub *the* hot path: every rank deposits and drains
@@ -10,14 +10,14 @@
 //! `tests/runtime_stress.rs`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ulba_runtime::{run, Backend, RunConfig};
+use ulba_runtime::{run, RunConfig};
 
 const ROUNDS: u64 = 8;
 
 /// Collective-dense BSP round: the hub round-trips twice per iteration and
 /// the compute slice is tiny, so rendezvous locking dominates.
 fn hub_storm(ranks: usize, hub_shards: usize) {
-    let config = RunConfig::new(ranks).with_backend(Backend::Parallel).with_hub_shards(hub_shards);
+    let config = RunConfig::new(ranks).with_hub_shards(hub_shards);
     run(config, |mut ctx| async move {
         for iter in 0..ROUNDS {
             ctx.compute(1.0e4 * ((ctx.rank() % 3 + 1) as f64));

@@ -1,22 +1,19 @@
-//! Backend comparison: the same BSP program (compute + allreduce + barrier
-//! per round) on the threaded vs. sequential vs. parallel executor at
-//! growing rank counts.
+//! Executor scaling: the same BSP program (compute + allreduce + barrier
+//! per round) on the job server with one worker, two workers, and one
+//! worker per core, at growing rank counts.
 //!
-//! The threaded backend pays thread spawn + condvar rendezvous per
-//! collective, which grows steeply with `P` on an oversubscribed machine;
-//! the sequential backend replaces all of it with one round-robin pass per
-//! superstep; the parallel backend adds work stealing and wake-driven
-//! scheduling over a fixed worker pool, so its overhead is the queue + CAS
-//! churn per suspension. This bench tracks all three curves in the perf
-//! trajectory.
+//! The one-worker pool is the serial baseline: every rank future is polled
+//! on one thread, so its cost is the queue + CAS churn per suspension.
+//! More workers add work stealing and cross-thread wakes on top; this
+//! bench tracks how much of that the parallelism buys back.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ulba_runtime::{run, Backend, RunConfig};
+use ulba_runtime::{run, RunConfig};
 
 const ROUNDS: u64 = 10;
 
-fn bsp_run(ranks: usize, backend: Backend) {
-    run(RunConfig::new(ranks).with_backend(backend), |mut ctx| async move {
+fn bsp_run(ranks: usize, workers: usize) {
+    run(RunConfig::new(ranks).with_workers(workers), |mut ctx| async move {
         for iter in 0..ROUNDS {
             ctx.compute(1.0e6 * ((ctx.rank() % 7 + 1) as f64));
             let total = ctx.allreduce_sum(1.0).await;
@@ -27,22 +24,19 @@ fn bsp_run(ranks: usize, backend: Backend) {
     });
 }
 
-fn bench_backends(c: &mut Criterion) {
-    let mut g = c.benchmark_group("backend_bsp_10_rounds");
+fn bench_workers(c: &mut Criterion) {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut g = c.benchmark_group("workers_bsp_10_rounds");
     g.sample_size(10);
     for ranks in [64usize, 256, 1024] {
-        for (label, backend) in [
-            ("threaded", Backend::Threaded),
-            ("sequential", Backend::Sequential),
-            ("parallel", Backend::Parallel),
-        ] {
+        for (label, workers) in [("1", 1), ("2", 2), ("all", cores)] {
             g.bench_with_input(BenchmarkId::new(label, ranks), &ranks, |b, &ranks| {
-                b.iter(|| bsp_run(ranks, backend))
+                b.iter(|| bsp_run(ranks, workers))
             });
         }
     }
     g.finish();
 }
 
-criterion_group!(benches, bench_backends);
+criterion_group!(benches, bench_workers);
 criterion_main!(benches);

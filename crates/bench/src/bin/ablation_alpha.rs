@@ -1,14 +1,14 @@
 //! Ablation E-A2: α rule (fixed vs dynamic z-scaled vs robust detection).
-//! `--backend <threaded|sequential>` selects the runtime backend;
+//! `--workers N` sets the worker-pool size (default: one per core);
 //! `--ranks 32,64` overrides the PE sweep.
 use ulba_bench::output::{
-    apply_cli_backend, cli_ranks, enforce_cli_flags, json_report_path, EROSION_STUDY_FLAGS,
+    apply_cli_runtime, cli_ranks, enforce_cli_flags, json_report_path, EROSION_STUDY_FLAGS,
     SMOKE_FLAGS,
 };
 
 fn main() {
     enforce_cli_flags(EROSION_STUDY_FLAGS, SMOKE_FLAGS);
-    apply_cli_backend();
+    apply_cli_runtime();
     let pes = cli_ranks().unwrap_or_else(|| vec![32, 64]);
     ulba_bench::figures::ablations::alpha_rule_ablation(
         &pes,

@@ -1,14 +1,14 @@
 //! Ablation E-A3: gossip dissemination mode.
-//! `--backend <threaded|sequential>` selects the runtime backend;
+//! `--workers N` sets the worker-pool size (default: one per core);
 //! `--ranks <p>` overrides the PE count.
 use ulba_bench::output::{
-    apply_cli_backend, cli_ranks, enforce_cli_flags, json_report_path, EROSION_STUDY_FLAGS,
+    apply_cli_runtime, cli_ranks, enforce_cli_flags, json_report_path, EROSION_STUDY_FLAGS,
     SMOKE_FLAGS,
 };
 
 fn main() {
     enforce_cli_flags(EROSION_STUDY_FLAGS, SMOKE_FLAGS);
-    apply_cli_backend();
+    apply_cli_runtime();
     let pes = cli_ranks().map_or(64, |pes| pes[0]);
     ulba_bench::figures::ablations::gossip_ablation(
         pes,

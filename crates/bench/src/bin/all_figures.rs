@@ -1,15 +1,15 @@
 //! Regenerates every paper artifact and all ablations in one run.
-//! `ULBA_QUICK=1` for a fast smoke pass; `--backend <threaded|sequential>`
-//! selects the runtime backend for every erosion study.
+//! `ULBA_QUICK=1` for a fast smoke pass; `--workers N` runs every erosion
+//! study on a pool of `N` threads.
 use ulba_bench::figures::{self, MEDIAN_SEEDS, PAPER_PE_COUNTS};
 use ulba_bench::output::{
-    apply_cli_backend, enforce_cli_flags, env_usize, quick_mode, results_dir, EROSION_STUDY_FLAGS,
+    apply_cli_runtime, enforce_cli_flags, env_usize, quick_mode, results_dir, EROSION_STUDY_FLAGS,
     SMOKE_FLAGS,
 };
 
 fn main() {
     enforce_cli_flags(EROSION_STUDY_FLAGS, SMOKE_FLAGS);
-    apply_cli_backend();
+    apply_cli_runtime();
     let started = std::time::Instant::now();
     let n = env_usize("ULBA_INSTANCES", if quick_mode() { 100 } else { 1000 });
     let sa_steps = env_usize("ULBA_SA_STEPS", if quick_mode() { 5_000 } else { 20_000 });
@@ -32,12 +32,7 @@ fn main() {
         11,
         Some(&bench("ablation_anticipation")),
     );
-    figures::weak_scaling::run(
-        &[64, 256],
-        None,
-        ulba_core::gossip::GossipWire::default(),
-        quick_mode(),
-    );
+    figures::weak_scaling::run(&[64, 256], ulba_core::gossip::GossipWire::default(), quick_mode());
 
     eprintln!("\nall figures regenerated in {:.1?}", started.elapsed());
 }

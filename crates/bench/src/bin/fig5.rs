@@ -1,15 +1,15 @@
 //! Regenerates Fig. 5 (α tuning).
-//! `--backend <threaded|sequential>` selects the runtime backend;
+//! `--workers N` sets the worker-pool size (default: one per core);
 //! `--ranks 64,256` overrides the PE sweep.
 use ulba_bench::figures::{MEDIAN_SEEDS, PAPER_PE_COUNTS};
 use ulba_bench::output::{
-    apply_cli_backend, cli_ranks, enforce_cli_flags, env_usize, json_report_path, quick_mode,
+    apply_cli_runtime, cli_ranks, enforce_cli_flags, env_usize, json_report_path, quick_mode,
     EROSION_STUDY_FLAGS, SMOKE_FLAGS,
 };
 
 fn main() {
     enforce_cli_flags(EROSION_STUDY_FLAGS, SMOKE_FLAGS);
-    apply_cli_backend();
+    apply_cli_runtime();
     let seeds = env_usize("ULBA_SEEDS", if quick_mode() { 1 } else { 3 });
     let pes: Vec<usize> = cli_ranks().unwrap_or_else(|| {
         if quick_mode() {

@@ -10,16 +10,14 @@
 //! overrides the report location.
 use ulba_bench::figures::job_server;
 use ulba_bench::output::{
-    apply_cli_backend, cli_ranks, enforce_cli_flags, env_usize, json_report_path, quick_mode,
+    apply_cli_runtime, cli_ranks, enforce_cli_flags, env_usize, json_report_path, quick_mode,
     EROSION_STUDY_FLAGS, SMOKE_FLAGS,
 };
 
 fn main() {
     enforce_cli_flags(EROSION_STUDY_FLAGS, SMOKE_FLAGS);
     // Exports --workers as ULBA_WORKERS; the study reads it back below.
-    // (--backend is ignored here: the comparison is about the pool, so
-    // every job pins the parallel backend.)
-    apply_cli_backend();
+    apply_cli_runtime();
     let workers = env_usize("ULBA_WORKERS", 0);
     let gate_pes = cli_ranks().unwrap_or_default();
     let json = json_report_path("job_server");

@@ -1,8 +1,9 @@
 //! Adversarial-scenario policy sweep: every generator family (slow node,
 //! scatter, drifting hotspot, bursty, task graph) × LB policy × gossip
 //! wire, batched on one shared worker pool, with the achieved imbalance
-//! factor λ verified against its target and backend/hub-shard bit-identity
-//! re-checked on a serial leg per family. Writes
+//! factor λ verified against its target and every job re-checked
+//! bit-identical on a one-worker pool (one leg per family also with a
+//! different hub-shard count). Writes
 //! `results/BENCH_scenarios.json`.
 //!
 //! `--workers N` sizes the pool (default: all cores); `--ranks 16384`
@@ -13,17 +14,14 @@
 //! report location.
 use ulba_bench::figures::scenarios;
 use ulba_bench::output::{
-    apply_cli_backend, cli_gossip_wire, cli_ranks, enforce_cli_flags, env_usize, json_report_path,
+    apply_cli_runtime, cli_gossip_wire, cli_ranks, enforce_cli_flags, env_usize, json_report_path,
     quick_mode, EROSION_STUDY_FLAGS, SMOKE_FLAGS,
 };
 
 fn main() {
     enforce_cli_flags(EROSION_STUDY_FLAGS, SMOKE_FLAGS);
     // Exports --workers as ULBA_WORKERS; the study reads it back below.
-    // (--backend is ignored here: the sweep is about the policies, so
-    // every job pins the parallel backend and the invariance check pins
-    // the sequential one.)
-    apply_cli_backend();
+    apply_cli_runtime();
     let workers = env_usize("ULBA_WORKERS", 0);
     let gate_pes = cli_ranks().unwrap_or_default();
     let json = json_report_path("scenarios");

@@ -1,46 +1,34 @@
 //! Weak-scaling study: erosion at P ∈ {64, 256, 1024, 4096}, standard vs
-//! ULBA, on selectable runtime backends.
+//! ULBA, on the runtime's job server.
 //!
-//! `--backend sequential` or `--backend parallel` is the intended way to
-//! reach the large-P end of the sweep (no OS thread per rank; parallel
-//! additionally uses all cores, tunable with `--workers N`).
-//! `--backends sequential,parallel` runs the sweep once per backend in a
-//! single invocation so their simulation wall-clocks can be compared;
-//! `--ranks 16384` (or `--ranks 65536`, opened by the sparse WIR database)
-//! narrows the sweep to one PE count; `--hub-shards N` pins the
-//! rendezvous-hub shard count (default: `min(workers, 64)`; the CI
-//! perf-trajectory job sweeps `1` vs default); `--gossip-wire full|delta`
-//! (or `delta:<N>` for an anti-entropy period of `N` iterations) selects
-//! the gossip payload format — `full` matches the committed seed baselines
-//! bit-for-bit, `delta` is what the `P = 65536` CI leg runs; `--smoke` (or
-//! `ULBA_QUICK=1`) shrinks the domain for CI; `--json <path>` additionally
-//! writes the machine-readable schema-3 perf-trajectory report covering
-//! every backend of the invocation (CI uploads `BENCH_weak_scaling.json`
-//! and `BENCH_p65536.json`).
+//! `--workers N` runs every leg on a private pool of `N` threads (default:
+//! the global pool, one worker per core); `--ranks 16384` (or `--ranks
+//! 65536`, opened by the sparse WIR database) narrows the sweep to one PE
+//! count; `--hub-shards N` pins the rendezvous-hub shard count (default:
+//! `min(workers, 64)`; the CI perf-trajectory job sweeps `1` vs default);
+//! `--gossip-wire full|delta` (or `delta:<N>` for an anti-entropy period of
+//! `N` iterations) selects the gossip payload format — `full` matches the
+//! committed seed baselines bit-for-bit, `delta` is what the `P = 65536` CI
+//! leg runs; `--smoke` (or `ULBA_QUICK=1`) shrinks the domain for CI;
+//! `--json <path>` additionally writes the machine-readable schema-3
+//! perf-trajectory report (CI uploads `BENCH_weak_scaling.json` and
+//! `BENCH_p65536.json`).
 use ulba_bench::figures::weak_scaling::{self, WEAK_SCALING_PE_COUNTS};
 use ulba_bench::output::{
-    apply_cli_backend, cli_backend, cli_backends, cli_gossip_wire, cli_json_path, cli_ranks,
-    enforce_cli_flags, quick_mode, EROSION_STUDY_FLAGS, SMOKE_FLAGS,
+    apply_cli_runtime, cli_gossip_wire, cli_json_path, cli_ranks, enforce_cli_flags, quick_mode,
+    EROSION_STUDY_FLAGS, SMOKE_FLAGS,
 };
 
 fn main() {
     let mut flags = EROSION_STUDY_FLAGS.to_vec();
-    flags.extend(["--backends", "--gossip-wire"]);
+    flags.push("--gossip-wire");
     enforce_cli_flags(&flags, SMOKE_FLAGS);
-    // Exports --workers as ULBA_WORKERS (and --backend as ULBA_BACKEND) so
-    // the runtime picks them up; the per-run backend below still wins.
-    apply_cli_backend();
-    let backends: Vec<Option<ulba_runtime::Backend>> = match cli_backends() {
-        Some(list) => list.into_iter().map(Some).collect(),
-        None => vec![cli_backend()],
-    };
+    // Exports --workers as ULBA_WORKERS so every run picks it up.
+    apply_cli_runtime();
     let pes = cli_ranks().unwrap_or_else(|| WEAK_SCALING_PE_COUNTS.to_vec());
     let wire = cli_gossip_wire().unwrap_or_default();
     let smoke = quick_mode();
-    let mut rows = Vec::new();
-    for backend in backends {
-        rows.extend(weak_scaling::run(&pes, backend, wire, smoke));
-    }
+    let rows = weak_scaling::run(&pes, wire, smoke);
     if let Some(path) = cli_json_path() {
         weak_scaling::write_json_report(&rows, smoke, &path);
     }

@@ -24,7 +24,7 @@ use std::time::Instant;
 use ulba_core::gossip::GossipWire;
 use ulba_core::policy::LbPolicy;
 use ulba_erosion::{run_erosion_batch, submit_erosion, ErosionConfig, ExperimentResult};
-use ulba_runtime::{Backend, JobServer};
+use ulba_runtime::JobServer;
 
 /// Summary of one serial-vs-batched comparison.
 #[derive(Debug, Clone)]
@@ -41,8 +41,7 @@ pub struct JobServerReport {
     pub rows: Vec<PerfRow>,
 }
 
-/// The base sweep: ≥ 8 jobs mixing PE counts, policies and seeds, every
-/// config pinned to the parallel backend so both passes exercise the pool.
+/// The base sweep: ≥ 8 jobs mixing PE counts, policies and seeds.
 fn base_sweep(smoke: bool) -> Vec<(String, usize, ErosionConfig)> {
     let pe_counts: &[usize] = if smoke { &[8, 16] } else { &[32, 64] };
     let policies = [("standard", LbPolicy::Standard), ("ulba", LbPolicy::ulba_fixed(0.4))];
@@ -103,9 +102,6 @@ pub fn run(
             specs.push((label.to_string(), ranks, cfg));
         }
     }
-    for (_, _, cfg) in &mut specs {
-        cfg.backend = Some(Backend::Parallel);
-    }
     println!(
         "Job-server study — {} jobs, serial one-pool-per-run vs one shared pool{}",
         specs.len(),
@@ -153,7 +149,7 @@ pub fn run(
         .iter()
         .zip(&batched)
         .map(|((label, ranks, cfg), res)| {
-            perf_row("parallel", label, *ranks, &cfg.gossip_wire.to_string(), res, batch_wall_s)
+            perf_row(label, *ranks, &cfg.gossip_wire.to_string(), res, batch_wall_s)
         })
         .collect();
 

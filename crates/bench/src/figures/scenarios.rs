@@ -8,10 +8,10 @@
 //! * **λ fidelity** — each scenario's achieved imbalance factor (verified
 //!   analytically by the generator) stays within 5% of the requested
 //!   target, and both values land in the report rows;
-//! * **backend/shard invariance** — every parallel row is asserted
-//!   bit-identical to its sequential twin in the grid, and one ULBA leg
-//!   per family is additionally re-run serially with a different
-//!   hub-shard count;
+//! * **executor/shard invariance** — every row on the shared pool is
+//!   asserted bit-identical to its twin on a one-worker `JobServer`, and
+//!   one ULBA leg per family is additionally re-run on the one-worker pool
+//!   with a different hub-shard count;
 //! * **perf trajectory** — `gate_pes` appends the erosion weak-scaling
 //!   smoke legs (standard + ULBA per PE count) whose virtual makespans the
 //!   CI gate compares against the committed `results/BENCH_seed.json`
@@ -26,7 +26,7 @@ use std::time::Instant;
 use ulba_core::gossip::GossipWire;
 use ulba_core::policy::LbPolicy;
 use ulba_erosion::run_erosion_batch;
-use ulba_runtime::{Backend, JobServer};
+use ulba_runtime::JobServer;
 use ulba_scenario::config::TriggerKind;
 use ulba_scenario::{
     run_scenario, run_scenario_batch, submit_scenario, ScenarioConfig, ScenarioKind,
@@ -49,14 +49,14 @@ fn policies() -> [(&'static str, LbPolicy); 2] {
     [("standard", LbPolicy::Standard), ("ulba-fixed:0.4", LbPolicy::ulba_fixed(0.4))]
 }
 
-/// The backend arms of the sweep: the parallel arm goes through the
-/// shared pool; the sequential arm is deferred by `submit_scenario` and
-/// runs serially at join, inside the same batch call.
-const BACKENDS: [(&str, Backend); 2] =
-    [("parallel", Backend::Parallel), ("sequential", Backend::Sequential)];
+/// Executor label of the rows run on the shared pool — `parallel`, the
+/// label of every pooled row in the committed seed baseline.
+const SHARED: &str = "parallel";
+/// Executor label of each row's twin on a one-worker `JobServer`.
+const ONE_WORKER: &str = "one-worker";
 
-/// The scenario grid: every family × policy × wire × backend (backend
-/// innermost, so each parallel row sits next to its sequential twin).
+/// The scenario grid: every family × policy × wire × executor (executor
+/// innermost, so each shared-pool row sits next to its one-worker twin).
 /// `wire_override` restricts the wire dimension (the `--gossip-wire`
 /// flag).
 fn scenario_sweep(
@@ -72,7 +72,7 @@ fn scenario_sweep(
     for kind in ScenarioKind::ALL {
         for (plabel, policy) in policies() {
             for &wire in &wires {
-                for (blabel, backend) in BACKENDS {
+                for executor in [SHARED, ONE_WORKER] {
                     let mut cfg = if smoke {
                         ScenarioConfig::tiny(kind, ranks)
                     } else {
@@ -80,7 +80,6 @@ fn scenario_sweep(
                     };
                     cfg.policy = policy;
                     cfg.gossip_wire = wire;
-                    cfg.backend = Some(backend);
                     // The Zhai trigger reacts to *degradation* w.r.t. the
                     // first iteration; these scenarios are adversarial from
                     // iteration 0, so it would never bootstrap. Drive the
@@ -91,7 +90,7 @@ fn scenario_sweep(
                     // period resets the window right at every boundary and
                     // blinds both arms equally.
                     cfg.trigger = TriggerKind::Periodic(cfg.phase_len + cfg.phase_len / 2);
-                    specs.push((format!("{}+{plabel}", kind.name()), blabel, cfg));
+                    specs.push((format!("{}+{plabel}", kind.name()), executor, cfg));
                 }
             }
         }
@@ -102,7 +101,7 @@ fn scenario_sweep(
 /// Build a schema-3 row from one scenario result (the scenario analogue of
 /// [`perf_row`], with the generator's λ accounting attached).
 fn scenario_row(
-    backend: &str,
+    executor: &str,
     label: &str,
     pes: usize,
     gossip_wire: &str,
@@ -120,7 +119,7 @@ fn scenario_row(
         0.0
     };
     PerfRow {
-        backend: backend.to_string(),
+        backend: executor.to_string(),
         pes,
         policy: label.to_string(),
         hub_shards: res.hub_shards,
@@ -142,7 +141,7 @@ fn assert_identical(label: &str, a: &ScenarioResult, b: &ScenarioResult) {
     assert_eq!(
         a.makespan.to_bits(),
         b.makespan.to_bits(),
-        "[{label}] makespan diverged across backend/shards: {} vs {}",
+        "[{label}] makespan diverged across executors/shards: {} vs {}",
         a.makespan,
         b.makespan
     );
@@ -166,27 +165,30 @@ pub fn run(
 ) -> ScenariosReport {
     let specs = scenario_sweep(smoke, wire_override);
     println!(
-        "Scenario study — {} scenario jobs ({} families × {} policies × wires × {} backends){}",
+        "Scenario study — {} scenario jobs ({} families × {} policies × wires × 2 executors){}",
         specs.len(),
         ScenarioKind::ALL.len(),
         policies().len(),
-        BACKENDS.len(),
         if smoke { " (smoke)" } else { "" }
     );
 
     let shared = JobServer::new(workers);
+    let one_worker = JobServer::new(1);
     // Untimed warmup primes the process heap before the timed batch.
     {
         let mut warm = specs[0].2.clone();
         warm.iterations = 1;
-        warm.backend = Some(Backend::Parallel);
         let _ = submit_scenario(&shared, &warm).join();
     }
 
-    // Parallel arms share the pool; sequential arms keep their explicit
-    // backend and are deferred to serial execution by the same batch call.
-    let cfgs: Vec<ScenarioConfig> =
-        specs.iter().map(|(_, _, cfg)| cfg.clone().with_server(shared.clone())).collect();
+    // Both arms run in the same batch call, each on its own pool.
+    let cfgs: Vec<ScenarioConfig> = specs
+        .iter()
+        .map(|(_, executor, cfg)| {
+            let pool = if *executor == SHARED { &shared } else { &one_worker };
+            cfg.clone().with_server(pool.clone())
+        })
+        .collect();
     let batch_started = Instant::now();
     let results = run_scenario_batch(&cfgs);
     let mut batch_wall_s = batch_started.elapsed().as_secs_f64();
@@ -194,36 +196,39 @@ pub fn run(
     // λ fidelity: the generator already asserts this at build time; the
     // study re-checks the *reported* values so a row can never drift from
     // the construction invariant.
-    for ((label, blabel, cfg), res) in specs.iter().zip(&results) {
+    for ((label, executor, cfg), res) in specs.iter().zip(&results) {
         assert!(
             (res.lambda_achieved - res.lambda_target).abs() <= LAMBDA_TOLERANCE * res.lambda_target,
-            "[{label}/{blabel}] achieved λ {} strays from target {}",
+            "[{label}/{executor}] achieved λ {} strays from target {}",
             res.lambda_achieved,
             res.lambda_target
         );
-        assert_eq!(res.lambda_target, cfg.lambda, "[{label}/{blabel}] target λ mangled in flight");
+        assert_eq!(
+            res.lambda_target, cfg.lambda,
+            "[{label}/{executor}] target λ mangled in flight"
+        );
     }
 
-    // Backend invariance: every parallel row must be bit-identical to its
-    // sequential twin (adjacent in the grid — backend is the innermost
-    // dimension).
+    // Executor invariance: every shared-pool row must be bit-identical to
+    // its one-worker twin (adjacent in the grid — the executor is the
+    // innermost dimension).
     for (pair, twin_res) in specs.chunks(2).zip(results.chunks(2)) {
-        assert_eq!(pair[0].0, pair[1].0, "grid ordering broke: backend must be innermost");
+        assert_eq!(pair[0].0, pair[1].0, "grid ordering broke: executor must be innermost");
         assert_identical(&pair[0].0, &twin_res[0], &twin_res[1]);
     }
 
-    // Shard invariance: one ULBA leg per family, re-run serially with a
-    // different hub-shard count.
-    for (i, ((label, _, cfg), batched)) in specs.iter().zip(&results).enumerate() {
-        if !label.ends_with("ulba-fixed:0.4") || i % (2 * BACKENDS.len()) != 0 {
+    // Shard invariance: the first ULBA leg of each family, re-run on the
+    // one-worker pool with a different hub-shard count.
+    let mut checked = Vec::new();
+    for ((label, executor, cfg), batched) in specs.iter().zip(&results) {
+        if *executor != SHARED || !label.ends_with("ulba-fixed:0.4") || checked.contains(&cfg.kind)
+        {
             continue;
         }
-        let mut check = cfg.clone();
-        check.server = None;
-        check.backend = Some(Backend::Sequential);
+        checked.push(cfg.kind);
+        let mut check = cfg.clone().with_server(one_worker.clone());
         check.hub_shards = Some(3);
-        let serial = run_scenario(&check);
-        assert_identical(label, batched, &serial);
+        assert_identical(label, batched, &run_scenario(&check));
     }
 
     // The erosion weak-scaling drift-gate legs, batched on the same pool.
@@ -236,7 +241,6 @@ pub fn run(
             {
                 let mut cfg =
                     super::weak_scaling::config_for(ranks, policy, GossipWire::default(), smoke);
-                cfg.backend = Some(Backend::Parallel);
                 cfg.server = Some(shared.clone());
                 gate_specs.push((label, ranks, cfg));
             }
@@ -248,7 +252,6 @@ pub fn run(
         batch_wall_s += gate_started.elapsed().as_secs_f64();
         for ((label, ranks, cfg), res) in gate_specs.iter().zip(&gate_results) {
             gate_rows.push(perf_row(
-                "parallel",
                 label,
                 *ranks,
                 &cfg.gossip_wire.to_string(),
@@ -261,8 +264,15 @@ pub fn run(
     let mut rows: Vec<PerfRow> = specs
         .iter()
         .zip(&results)
-        .map(|((label, blabel, cfg), res)| {
-            scenario_row(blabel, label, cfg.ranks, &cfg.gossip_wire.to_string(), res, batch_wall_s)
+        .map(|((label, executor, cfg), res)| {
+            scenario_row(
+                executor,
+                label,
+                cfg.ranks,
+                &cfg.gossip_wire.to_string(),
+                res,
+                batch_wall_s,
+            )
         })
         .collect();
     rows.append(&mut gate_rows);
@@ -284,10 +294,10 @@ pub fn run(
         })
         .collect();
     print_table(
-        "scenario sweep (batched, λ verified, backend/shard invariant)",
+        "scenario sweep (batched, λ verified, executor/shard invariant)",
         &[
             "scenario",
-            "backend",
+            "executor",
             "PEs",
             "wire",
             "λ target",
@@ -315,11 +325,11 @@ mod tests {
     fn smoke_sweep_reports_lambda_and_verifies_invariance() {
         std::env::set_var("ULBA_RESULTS", std::env::temp_dir().join("ulba-scenarios-test"));
         let json = std::env::temp_dir().join("ulba-scenarios-test").join("BENCH_scenarios.json");
-        // run() hard-asserts λ fidelity and backend/shard bit-identity.
+        // run() hard-asserts λ fidelity and executor/shard bit-identity.
         let report = run(2, &[], true, None, Some(&json));
-        assert_eq!(report.jobs, 40, "5 families × 2 policies × 2 wires × 2 backends");
+        assert_eq!(report.jobs, 40, "5 families × 2 policies × 2 wires × 2 executors");
         assert!(report.rows.iter().all(|r| r.lambda_target.is_some()));
-        assert!(report.rows.iter().any(|r| r.backend == "sequential"));
+        assert!(report.rows.iter().any(|r| r.backend == ONE_WORKER));
         let doc = std::fs::read_to_string(&json).unwrap();
         assert!(doc.contains("\"study\": \"scenarios\""));
         assert!(doc.contains("\"lambda_achieved\":"));
@@ -330,7 +340,7 @@ mod tests {
     #[test]
     fn wire_override_restricts_the_grid() {
         let specs = scenario_sweep(true, Some(GossipWire::Full));
-        assert_eq!(specs.len(), 20, "5 families × 2 policies × 1 wire × 2 backends");
+        assert_eq!(specs.len(), 20, "5 families × 2 policies × 1 wire × 2 executors");
         assert!(specs.iter().all(|(_, _, c)| c.gossip_wire == GossipWire::Full));
     }
 }

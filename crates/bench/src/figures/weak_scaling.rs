@@ -1,26 +1,26 @@
-//! Weak-scaling study of the erosion application across execution backends.
+//! Weak-scaling study of the erosion application on the job server.
 //!
 //! The paper evaluates `P ≤ 256`; the related work it builds on (two-level
 //! dynamic LB, optimal-LB-criteria studies) shows that trigger and gossip
 //! behaviour changes qualitatively in the thousands-of-PEs regime. This
 //! study keeps the per-PE domain fixed (weak scaling) and sweeps
-//! `P ∈ {64, 256, 1024, 4096}` under the standard method and ULBA, on a
-//! selectable runtime backend — the sequential and parallel backends are
-//! what make `P = 4096` (and `P = 16384`, and with the sparse WIR database
-//! `P = 65536`) tractable, since neither needs one OS thread per rank.
+//! `P ∈ {64, 256, 1024, 4096}` under the standard method and ULBA. The job
+//! server is what makes `P = 4096` (and `P = 16384`, and with the sparse
+//! WIR database `P = 65536`) tractable: it needs no OS thread per rank.
 //!
 //! Reported per (P, policy): virtual makespan, LB calls, mean PE
 //! utilization, load-imbalance statistics (max/mean busy ratio, idle
 //! fraction), the *real* wall-clock cost of simulating the run (the
-//! backend comparison axis), and the memory story — aggregate WIR-database
-//! entries plus the process's peak RSS — that gates the `P = 65536` CI
-//! leg. Every sweep starts with one explicit *untimed* single-iteration
-//! warmup run, so the process's one-time heap-growth/page-zeroing cost is
-//! not booked against the first timed leg's `sim_wall_s`.
-//! CSV: `results/weak_scaling_<backend>.csv` — one file per backend,
-//! so runs on different backends can be compared side by side instead of
-//! overwriting each other. [`write_json_report`] additionally emits one
-//! machine-readable JSON document (schema 3) covering all backends of an
+//! worker-count comparison axis), and the memory story — aggregate
+//! WIR-database entries plus the process's peak RSS — that gates the
+//! `P = 65536` CI leg. Every sweep starts with one explicit *untimed*
+//! single-iteration warmup run, so the process's one-time
+//! heap-growth/page-zeroing cost is not booked against the first timed
+//! leg's `sim_wall_s`.
+//! CSV: `results/weak_scaling_workers_<N>.csv` (`N` = `--workers`, `all`
+//! when unset), so runs on different worker counts can be compared side by
+//! side instead of overwriting each other. [`write_json_report`]
+//! additionally emits the machine-readable JSON document (schema 3) of an
 //! invocation (the CI perf-trajectory artifacts `BENCH_weak_scaling.json`
 //! and `BENCH_p65536.json`).
 
@@ -30,20 +30,17 @@ use std::time::Instant;
 use ulba_core::gossip::{GossipMode, GossipWire};
 use ulba_core::policy::LbPolicy;
 use ulba_erosion::{run_erosion, ErosionConfig};
-use ulba_runtime::Backend;
 
 /// Default PE sweep of the study.
 pub const WEAK_SCALING_PE_COUNTS: [usize; 4] = [64, 256, 1024, 4096];
 
-/// One (P, policy, backend) measurement.
+/// One (P, policy) measurement.
 #[derive(Debug, Clone)]
 pub struct WeakScalingRow {
     /// PE count.
     pub ranks: usize,
     /// Policy label (`standard` / `ulba`).
     pub policy: &'static str,
-    /// Backend label (`threaded` / `sequential` / `parallel` / `default`).
-    pub backend: String,
     /// Resolved leaf shard count of the rendezvous hub the run used
     /// (`--hub-shards` / `ULBA_HUB_SHARDS`; default `min(workers, 64)`).
     pub hub_shards: usize,
@@ -84,9 +81,9 @@ pub(crate) fn config_for(
     cfg.policy = policy;
     cfg.gossip_wire = wire;
     if smoke {
-        // CI-sized: a few minutes even at P = 4096 on the sequential
-        // backend. Ring gossip keeps snapshot sizes O(iterations) instead
-        // of O(P) over a short run.
+        // CI-sized: a few minutes even at P = 4096 on one worker. Ring
+        // gossip keeps snapshot sizes O(iterations) instead of O(P) over a
+        // short run.
         cfg.cols_per_pe = 32;
         cfg.height = 32;
         cfg.rock_radius = 7;
@@ -98,18 +95,14 @@ pub(crate) fn config_for(
     cfg
 }
 
-/// Run the weak-scaling sweep on `backend` (`None` = runtime default) with
-/// the given gossip wire format.
-pub fn run(
-    pe_counts: &[usize],
-    backend: Option<Backend>,
-    wire: GossipWire,
-    smoke: bool,
-) -> Vec<WeakScalingRow> {
-    let backend_label = backend.map_or_else(|| "default".to_string(), |b| b.to_string());
+/// Run the weak-scaling sweep with the given gossip wire format. The
+/// worker count comes from `ULBA_WORKERS` (the bin's `--workers`); unset,
+/// the runs share the global pool.
+pub fn run(pe_counts: &[usize], wire: GossipWire, smoke: bool) -> Vec<WeakScalingRow> {
+    let workers = std::env::var("ULBA_WORKERS").unwrap_or_else(|_| "all".to_string());
     println!(
         "Weak scaling — erosion app, fixed per-PE domain, standard vs ULBA \
-         (α = 0.4), backend: {backend_label}, gossip wire: {wire}{}",
+         (α = 0.4), workers: {workers}, gossip wire: {wire}{}",
         if smoke { ", smoke" } else { "" }
     );
     // Explicit untimed warmup: the first simulation in a process pays a
@@ -119,7 +112,6 @@ pub fn run(
     // faults in the allocator before any timer starts.
     if let Some(&ranks) = pe_counts.first() {
         let mut warm = config_for(ranks, LbPolicy::Standard, wire, smoke);
-        warm.backend = backend;
         warm.iterations = 1;
         eprintln!("  [warmup P={ranks}] one untimed iteration before the timed legs");
         let _ = run_erosion(&warm);
@@ -129,8 +121,7 @@ pub fn run(
         for (label, policy) in
             [("standard", LbPolicy::Standard), ("ulba", LbPolicy::ulba_fixed(0.4))]
         {
-            let mut cfg = config_for(ranks, policy, wire, smoke);
-            cfg.backend = backend;
+            let cfg = config_for(ranks, policy, wire, smoke);
             let started = Instant::now();
             let res = run_erosion(&cfg);
             let sim_secs = started.elapsed().as_secs_f64();
@@ -149,7 +140,7 @@ pub fn run(
             };
             let peak_rss = peak_rss_bytes();
             eprintln!(
-                "  [P={ranks} {label} {backend_label} S={}] makespan {:.2}s, {} LB calls, \
+                "  [P={ranks} {label} workers={workers} S={}] makespan {:.2}s, {} LB calls, \
                  util {:.1}%, λ {:.3}, {} db entries, peak RSS {}, simulated in {sim_secs:.2}s",
                 res.hub_shards,
                 res.makespan,
@@ -165,7 +156,6 @@ pub fn run(
             rows.push(WeakScalingRow {
                 ranks,
                 policy: label,
-                backend: backend_label.clone(),
                 hub_shards: res.hub_shards,
                 gossip_wire: wire.to_string(),
                 makespan: res.makespan,
@@ -197,7 +187,7 @@ pub fn run(
         })
         .collect();
     print_table(
-        &format!("Weak scaling — backend {backend_label}, wire {wire}"),
+        &format!("Weak scaling — workers {workers}, wire {wire}"),
         &[
             "PEs",
             "policy",
@@ -212,7 +202,7 @@ pub fn run(
         &table,
     );
     let csv_rows: Vec<Vec<String>> = rows.iter().map(csv_row).collect();
-    let path = write_csv(&format!("weak_scaling_{backend_label}"), CSV_HEADER, &csv_rows);
+    let path = write_csv(&format!("weak_scaling_workers_{workers}"), CSV_HEADER, &csv_rows);
     println!("wrote {}", path.display());
     rows
 }
@@ -220,7 +210,6 @@ pub fn run(
 const CSV_HEADER: &[&str] = &[
     "pes",
     "policy",
-    "backend",
     "hub_shards",
     "gossip_wire",
     "makespan_s",
@@ -237,7 +226,6 @@ fn csv_row(r: &WeakScalingRow) -> Vec<String> {
     vec![
         r.ranks.to_string(),
         r.policy.to_string(),
-        r.backend.clone(),
         r.hub_shards.to_string(),
         r.gossip_wire.clone(),
         format!("{}", r.makespan),
@@ -253,7 +241,7 @@ fn csv_row(r: &WeakScalingRow) -> Vec<String> {
 
 /// Serialize the collected rows as the machine-readable perf-trajectory
 /// report (`BENCH_weak_scaling.json` / `BENCH_p65536.json` in CI): per
-/// (backend, P, policy) the real wall-clock simulation cost, the virtual
+/// (P, policy) the real wall-clock simulation cost, the virtual
 /// makespan, the imbalance statistics, and the memory story (aggregate
 /// database entries + peak RSS). Returns the written path.
 ///
@@ -263,7 +251,8 @@ pub fn write_json_report(rows: &[WeakScalingRow], smoke: bool, path: &Path) -> P
     let rows: Vec<PerfRow> = rows
         .iter()
         .map(|r| PerfRow {
-            backend: r.backend.clone(),
+            // A job on a worker pool; the key the seed baseline uses.
+            backend: "parallel".to_string(),
             pes: r.ranks,
             policy: r.policy.to_string(),
             hub_shards: r.hub_shards,

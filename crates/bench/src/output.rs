@@ -79,9 +79,8 @@ pub fn env_usize(name: &str, default: usize) -> usize {
 }
 
 /// Value-taking flags every erosion-driven study binary accepts (the
-/// `apply_cli_backend` + `cli_ranks` + `--json` set).
-pub const EROSION_STUDY_FLAGS: &[&str] =
-    &["--backend", "--workers", "--hub-shards", "--ranks", "--json"];
+/// `apply_cli_runtime` + `cli_ranks` + `--json` set).
+pub const EROSION_STUDY_FLAGS: &[&str] = &["--workers", "--hub-shards", "--ranks", "--json"];
 
 /// Boolean flags every figure binary accepts.
 pub const SMOKE_FLAGS: &[&str] = &["--smoke"];
@@ -149,35 +148,6 @@ fn cli_value(flag: &str) -> Option<String> {
     None
 }
 
-/// Parse one backend name, aborting with a usage message rather than
-/// silently running on the wrong backend.
-fn parse_backend(raw: &str) -> ulba_runtime::Backend {
-    raw.parse().unwrap_or_else(|()| {
-        eprintln!("unknown backend `{raw}` (expected `threaded`, `sequential` or `parallel`)");
-        std::process::exit(2);
-    })
-}
-
-/// Runtime backend selected on the command line (`--backend threaded`,
-/// `--backend sequential` or `--backend parallel`), if any.
-pub fn cli_backend() -> Option<ulba_runtime::Backend> {
-    cli_value("--backend").map(|raw| parse_backend(&raw))
-}
-
-/// Backends selected on the command line as a comma-separated list
-/// (`--backends sequential,parallel`), if any — for studies that compare
-/// backends side by side in one invocation.
-pub fn cli_backends() -> Option<Vec<ulba_runtime::Backend>> {
-    let raw = cli_value("--backends")?;
-    let backends: Vec<ulba_runtime::Backend> =
-        raw.split(',').map(str::trim).filter(|part| !part.is_empty()).map(parse_backend).collect();
-    if backends.is_empty() {
-        eprintln!("--backends needs at least one backend");
-        std::process::exit(2);
-    }
-    Some(backends)
-}
-
 /// Output path of the machine-readable JSON report (`--json <path>`), if
 /// requested on the command line.
 pub fn cli_json_path() -> Option<PathBuf> {
@@ -207,14 +177,11 @@ pub fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// Apply `--backend` (and `--workers` / `--hub-shards`) to the whole
-/// process by exporting `ULBA_BACKEND`/`ULBA_WORKERS`/`ULBA_HUB_SHARDS`,
-/// so every `RunConfig::new` in the figure pipeline picks them up without
-/// threading a parameter through each study function.
-pub fn apply_cli_backend() {
-    if let Some(backend) = cli_backend() {
-        std::env::set_var("ULBA_BACKEND", backend.to_string());
-    }
+/// Apply `--workers` / `--hub-shards` to the whole process by exporting
+/// `ULBA_WORKERS`/`ULBA_HUB_SHARDS`, so every `RunConfig::new` in the
+/// figure pipeline picks them up without threading a parameter through
+/// each study function.
+pub fn apply_cli_runtime() {
     if let Some(workers) = cli_value("--workers") {
         if workers.parse::<usize>().is_err() {
             eprintln!("invalid --workers `{workers}` (expected a thread count)");
@@ -237,7 +204,7 @@ pub fn apply_cli_backend() {
 
 /// One row of the machine-readable schema-3 perf report every
 /// erosion-driven study emits (`results/BENCH_<study>.json`): identity of
-/// the measurement (backend / P / policy / hub shards / gossip wire), the
+/// the measurement (executor / P / policy / hub shards / gossip wire), the
 /// real wall-clock cost of simulating it, the virtual-time results, and
 /// the memory story.
 ///
@@ -248,7 +215,10 @@ pub fn apply_cli_backend() {
 /// batched sweep instead.
 #[derive(Debug, Clone)]
 pub struct PerfRow {
-    /// Backend label (`threaded` / `sequential` / `parallel` / `default`).
+    /// Executor label: `parallel` for a job on a worker pool (the JSON key
+    /// stays `backend`, so rows keep matching the committed seed
+    /// baseline); the scenario study tags its one-worker twins
+    /// `one-worker`.
     pub backend: String,
     /// PE count.
     pub pes: usize,
@@ -284,10 +254,9 @@ pub struct PerfRow {
     pub lambda_achieved: Option<f64>,
 }
 
-/// Build a [`PerfRow`] from one erosion experiment, deriving the
-/// imbalance statistics from the per-rank metrics.
+/// Build a [`PerfRow`] from one erosion experiment run on a worker pool,
+/// deriving the imbalance statistics from the per-rank metrics.
 pub fn perf_row(
-    backend: &str,
     policy: &str,
     pes: usize,
     gossip_wire: &str,
@@ -305,7 +274,7 @@ pub fn perf_row(
         0.0
     };
     PerfRow {
-        backend: backend.to_string(),
+        backend: "parallel".to_string(),
         pes,
         policy: policy.to_string(),
         hub_shards: res.hub_shards,
@@ -321,13 +290,6 @@ pub fn perf_row(
         lambda_target: None,
         lambda_achieved: None,
     }
-}
-
-/// Backend label the batch API resolves for pool-eligible submissions:
-/// `ULBA_BACKEND` when the environment pins one, the shared parallel pool
-/// otherwise (matching `submit_erosion`'s admission rule).
-pub fn batch_backend_label() -> String {
-    std::env::var("ULBA_BACKEND").ok().unwrap_or_else(|| "parallel".to_string())
 }
 
 /// Serialize rows as a schema-3 perf report and write it to `path`.

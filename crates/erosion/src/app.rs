@@ -48,8 +48,8 @@ use ulba_core::policy::{estimate_ulba_overhead, outlier_score};
 use ulba_core::trigger::{AnyTrigger, LbTrigger};
 use ulba_core::wir::WirEstimator;
 use ulba_runtime::{
-    run, Backend, IterationStats, JobHandle, JobServer, MachineSpec, RankMetrics, RunConfig,
-    RunReport, SpmdCtx, Tag,
+    run, IterationStats, JobHandle, JobServer, MachineSpec, RankMetrics, RunConfig, RunReport,
+    SpmdCtx, Tag,
 };
 
 /// Message tag of gossip snapshots.
@@ -300,15 +300,6 @@ async fn rank_program(
             let cost = ctx.allreduce_max(measured).await;
             ctx.end_lb();
             if rank == 0 {
-                if std::env::var_os("ULBA_DEBUG").is_some() {
-                    eprintln!(
-                        "[lb] iter={iter} measured_cost={cost:.4}s alpha_root={my_alpha:.2} \
-                         N={} fallback={} bounds[28..32]={:?}",
-                        outcome.decision.overloading,
-                        outcome.decision.majority_fallback,
-                        &partition.bounds()[28.min(p)..]
-                    );
-                }
                 if let Some(trig) = trigger.as_mut() {
                     trig.lb_completed(iter, cost);
                 }
@@ -375,19 +366,12 @@ fn prepare(cfg: &ErosionConfig) -> PreparedRun {
     // pool alive from within itself.
     let server = cfg.server.take();
     let mut run_cfg = RunConfig::new(cfg.ranks).with_spec(spec);
-    if let Some(backend) = cfg.backend {
-        run_cfg = run_cfg.with_backend(backend);
-    }
-    if let Some(stack_size) = cfg.stack_size {
-        run_cfg = run_cfg.with_stack_size(stack_size);
-    }
     if let Some(workers) = cfg.workers {
         run_cfg = run_cfg.with_workers(workers);
     }
     if let Some(hub_shards) = cfg.hub_shards {
         run_cfg = run_cfg.with_hub_shards(hub_shards);
     }
-    // Applied last: a server target forces the parallel backend.
     if let Some(server) = server {
         run_cfg = run_cfg.with_server(server);
     }
@@ -436,91 +420,41 @@ pub fn run_erosion(cfg: &ErosionConfig) -> ExperimentResult {
     assemble(report, &prepared.side, prepared.hub_shards)
 }
 
-/// A submitted (or deferred) erosion experiment; see [`submit_erosion`].
+/// A submitted erosion experiment; see [`submit_erosion`].
 pub struct ErosionJob {
-    inner: ErosionJobInner,
-}
-
-enum ErosionJobInner {
-    /// Running concurrently on a shared [`JobServer`].
-    Submitted { handle: JobHandle, side: Arc<SideChannels>, hub_shards: usize },
-    /// The config resolves to a non-parallel backend (explicitly or via
-    /// `ULBA_BACKEND`): the run executes with that backend's semantics,
-    /// serially, inside [`ErosionJob::join`].
-    Deferred(Box<ErosionConfig>),
+    handle: JobHandle,
+    side: Arc<SideChannels>,
+    hub_shards: usize,
 }
 
 impl std::fmt::Debug for ErosionJob {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.inner {
-            ErosionJobInner::Submitted { handle, .. } => {
-                f.debug_struct("ErosionJob").field("job", &handle.id()).finish()
-            }
-            ErosionJobInner::Deferred(_) => {
-                f.debug_struct("ErosionJob").field("job", &"deferred").finish()
-            }
-        }
+        f.debug_struct("ErosionJob").field("job", &self.id()).finish()
     }
 }
 
 impl ErosionJob {
-    /// The runtime job id when the experiment runs on a server (`None` for
-    /// deferred serial runs).
-    pub fn id(&self) -> Option<u64> {
-        match &self.inner {
-            ErosionJobInner::Submitted { handle, .. } => Some(handle.id()),
-            ErosionJobInner::Deferred(_) => None,
-        }
+    /// The runtime job id of the experiment.
+    pub fn id(&self) -> u64 {
+        self.handle.id()
     }
 
     /// Block until the experiment finishes and collect its measurements.
     /// Same failure contract as [`run_erosion`]: panics if the job
     /// deadlocked or a rank panicked.
     pub fn join(self) -> ExperimentResult {
-        match self.inner {
-            ErosionJobInner::Submitted { handle, side, hub_shards } => {
-                let report = handle.join().unwrap_or_else(|err| panic!("{err}"));
-                assemble(report, &side, hub_shards)
-            }
-            ErosionJobInner::Deferred(cfg) => run_erosion(&cfg),
-        }
+        let report = self.handle.join().unwrap_or_else(|err| panic!("{err}"));
+        assemble(report, &self.side, self.hub_shards)
     }
 }
 
-/// Submit one experiment to `server` without waiting for it.
-///
-/// When the config resolves to a non-parallel backend — an explicit
-/// [`ErosionConfig::backend`], or `ULBA_BACKEND` when the config leaves the
-/// backend `None` — the run is deferred instead: it executes serially with
-/// the requested backend's semantics when the returned job is joined, so a
-/// `ULBA_BACKEND=sequential` CI leg still exercises the sequential
-/// scheduler even through the batch API. Either way the measurements are
-/// bit-identical; only wall time and concurrency differ.
+/// Submit one experiment to `server` without waiting for it. The
+/// measurements are bit-identical to a serial [`run_erosion`] of the same
+/// config; only wall time and concurrency differ.
 pub fn submit_erosion(server: &JobServer, cfg: &ErosionConfig) -> ErosionJob {
-    // The parallel sentinel survives `from_env` only if `ULBA_BACKEND` is
-    // unset — exactly the cases in which pooling preserves semantics.
-    let effective = cfg.backend.unwrap_or_else(|| {
-        RunConfig::defaults(1).with_backend(Backend::Parallel).from_env().backend
-    });
-    if effective != Backend::Parallel {
-        // Drop the server handle: a deferred run must honour the requested
-        // backend, and `prepare` would otherwise re-route it to the pool.
-        let mut cfg = cfg.clone();
-        cfg.server = None;
-        return ErosionJob { inner: ErosionJobInner::Deferred(Box::new(cfg)) };
-    }
-    let mut cfg = cfg.clone();
-    cfg.backend = Some(Backend::Parallel);
-    cfg.server = Some(server.clone());
-    let prepared = prepare(&cfg);
+    let prepared = prepare(cfg);
     let handle = server.submit(prepared.run_cfg, prepared.body);
-    ErosionJob {
-        inner: ErosionJobInner::Submitted {
-            handle,
-            side: prepared.side,
-            hub_shards: prepared.hub_shards,
-        },
-    }
+    ErosionJob { handle, side: prepared.side, hub_shards: prepared.hub_shards }
 }
 
 /// Run a whole sweep concurrently on a shared pool and return the results
@@ -761,17 +695,5 @@ mod tests {
             assert_eq!(batched.total_eroded, serial.total_eroded);
             assert_eq!(batched.final_total_weight, serial.final_total_weight);
         }
-    }
-
-    #[test]
-    fn explicit_backend_defers_instead_of_pooling() {
-        let server = JobServer::new(1);
-        let mut cfg = ErosionConfig::tiny(2, 1);
-        cfg.iterations = 10;
-        cfg.backend = Some(Backend::Sequential);
-        let job = submit_erosion(&server, &cfg);
-        assert_eq!(job.id(), None, "sequential runs must not be pooled");
-        let res = job.join();
-        assert_eq!(run_erosion(&cfg).makespan.to_bits(), res.makespan.to_bits());
     }
 }

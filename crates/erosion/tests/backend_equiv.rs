@@ -1,6 +1,5 @@
-//! Cross-backend equivalence: the threaded (one OS thread per rank,
-//! blocking rendezvous), sequential (single-threaded lockstep scheduler)
-//! and parallel (work-stealing worker pool) backends must produce
+//! Worker-count equivalence: a one-worker pool (single-threaded, fully
+//! serial execution) and multi-worker work-stealing pools must produce
 //! **bit-identical** experiment results — same virtual makespan, same
 //! per-rank clocks and time accounting, same iteration statistics, same LB
 //! activations — for the full erosion application, not just micro-programs.
@@ -12,86 +11,87 @@ use proptest::prelude::*;
 use ulba_core::gossip::{GossipMode, GossipWire};
 use ulba_core::policy::LbPolicy;
 use ulba_erosion::{run_erosion, ErosionConfig, ExperimentResult};
-use ulba_runtime::Backend;
 
-/// Run `cfg` on the given backend (the parallel backend with an explicit
-/// small worker count, so the test is meaningful on a single-core machine).
-fn on_backend(cfg: &ErosionConfig, backend: Backend) -> ExperimentResult {
+/// Worker counts of the equivalence sweeps (explicit, so the multi-worker
+/// legs are meaningful on a single-core machine too).
+const WORKERS: [usize; 3] = [1, 2, 3];
+
+/// Run `cfg` on a private pool of `workers` threads.
+fn on_workers(cfg: &ErosionConfig, workers: usize) -> ExperimentResult {
     let mut cfg = cfg.clone();
-    cfg.backend = Some(backend);
-    if backend == Backend::Parallel {
-        cfg.workers = Some(3);
-    }
+    cfg.workers = Some(workers);
     run_erosion(&cfg)
 }
 
 /// Assert that two experiment results are identical down to the last f64
 /// bit.
-fn assert_bit_identical(reference: &ExperimentResult, other: &ExperimentResult, backend: Backend) {
+fn assert_bit_identical(reference: &ExperimentResult, other: &ExperimentResult, label: &str) {
     assert_eq!(
         reference.makespan.to_bits(),
         other.makespan.to_bits(),
-        "{backend}: makespan diverged: {} vs {}",
+        "{label}: makespan diverged: {} vs {}",
         reference.makespan,
         other.makespan
     );
-    assert_eq!(reference.lb_calls, other.lb_calls, "{backend}");
-    assert_eq!(reference.lb_iterations, other.lb_iterations, "{backend}");
-    assert_eq!(reference.mean_utilization.to_bits(), other.mean_utilization.to_bits(), "{backend}");
-    assert_eq!(reference.final_total_weight, other.final_total_weight, "{backend}");
-    assert_eq!(reference.total_eroded, other.total_eroded, "{backend}");
-    assert_eq!(reference.db_entries_total, other.db_entries_total, "{backend}");
-    assert_eq!(reference.gossip_watermarks_total, other.gossip_watermarks_total, "{backend}");
-    assert_eq!(reference.rank_metrics.len(), other.rank_metrics.len(), "{backend}");
+    assert_eq!(reference.lb_calls, other.lb_calls, "{label}");
+    assert_eq!(reference.lb_iterations, other.lb_iterations, "{label}");
+    assert_eq!(reference.mean_utilization.to_bits(), other.mean_utilization.to_bits(), "{label}");
+    assert_eq!(reference.final_total_weight, other.final_total_weight, "{label}");
+    assert_eq!(reference.total_eroded, other.total_eroded, "{label}");
+    assert_eq!(reference.db_entries_total, other.db_entries_total, "{label}");
+    assert_eq!(reference.gossip_watermarks_total, other.gossip_watermarks_total, "{label}");
+    assert_eq!(reference.rank_metrics.len(), other.rank_metrics.len(), "{label}");
     for (rank, (a, b)) in reference.rank_metrics.iter().zip(&other.rank_metrics).enumerate() {
-        assert_eq!(a.busy.to_bits(), b.busy.to_bits(), "{backend}: rank {rank} busy");
-        assert_eq!(a.comm.to_bits(), b.comm.to_bits(), "{backend}: rank {rank} comm");
-        assert_eq!(a.lb.to_bits(), b.lb.to_bits(), "{backend}: rank {rank} lb");
-        assert_eq!(a.idle.to_bits(), b.idle.to_bits(), "{backend}: rank {rank} idle");
+        assert_eq!(a.busy.to_bits(), b.busy.to_bits(), "{label}: rank {rank} busy");
+        assert_eq!(a.comm.to_bits(), b.comm.to_bits(), "{label}: rank {rank} comm");
+        assert_eq!(a.lb.to_bits(), b.lb.to_bits(), "{label}: rank {rank} lb");
+        assert_eq!(a.idle.to_bits(), b.idle.to_bits(), "{label}: rank {rank} idle");
     }
-    assert_eq!(reference.iterations.len(), other.iterations.len(), "{backend}");
+    assert_eq!(reference.iterations.len(), other.iterations.len(), "{label}");
     for (a, b) in reference.iterations.iter().zip(&other.iterations) {
-        assert_eq!(a.iter, b.iter, "{backend}");
-        assert_eq!(a.wall_time.to_bits(), b.wall_time.to_bits(), "{backend}: iteration {}", a.iter);
-        assert_eq!(a.mean_utilization.to_bits(), b.mean_utilization.to_bits(), "{backend}");
-        assert_eq!(a.lb_active, b.lb_active, "{backend}");
+        assert_eq!(a.iter, b.iter, "{label}");
+        assert_eq!(a.wall_time.to_bits(), b.wall_time.to_bits(), "{label}: iteration {}", a.iter);
+        assert_eq!(a.mean_utilization.to_bits(), b.mean_utilization.to_bits(), "{label}");
+        assert_eq!(a.lb_active, b.lb_active, "{label}");
     }
 }
 
-/// Compare every non-threaded backend against the threaded reference.
-fn assert_backends_equivalent(cfg: &ErosionConfig) {
-    let reference = on_backend(cfg, Backend::Threaded);
-    for backend in [Backend::Sequential, Backend::Parallel] {
-        let other = on_backend(cfg, backend);
-        assert_bit_identical(&reference, &other, backend);
+/// Compare the multi-worker pools against the one-worker reference.
+fn assert_worker_counts_equivalent(cfg: &ErosionConfig) {
+    let reference = on_workers(cfg, 1);
+    for workers in [2, 3] {
+        let other = on_workers(cfg, workers);
+        assert_bit_identical(&reference, &other, &format!("workers={workers}"));
     }
 }
 
-/// Compare the single-shard reference against the hub shard sweep of the
-/// acceptance criterion — `S ∈ {1, 2, 7, P}` — on every backend.
+/// Compare the single-shard, one-worker reference against the hub shard
+/// sweep of the acceptance criterion — `S ∈ {1, 2, 7, P}` — on every
+/// worker count.
 fn assert_shard_counts_equivalent(cfg: &ErosionConfig) {
     let mut reference_cfg = cfg.clone();
     reference_cfg.hub_shards = Some(1);
-    let reference = on_backend(&reference_cfg, Backend::Threaded);
+    let reference = on_workers(&reference_cfg, 1);
     assert_eq!(reference.hub_shards, 1);
-    for backend in [Backend::Threaded, Backend::Sequential, Backend::Parallel] {
+    for workers in WORKERS {
         for shards in [1usize, 2, 7, cfg.ranks] {
+            let label = format!("workers={workers} S={shards}");
             let mut sharded = cfg.clone();
             sharded.hub_shards = Some(shards);
-            let other = on_backend(&sharded, backend);
+            let other = on_workers(&sharded, workers);
             assert!(
                 other.hub_shards >= 1 && other.hub_shards <= cfg.ranks,
-                "{backend}: resolved shard count {} out of range",
+                "{label}: resolved shard count {} out of range",
                 other.hub_shards
             );
-            assert_bit_identical(&reference, &other, backend);
+            assert_bit_identical(&reference, &other, &label);
         }
     }
 }
 
 /// The tentpole acceptance criterion at application scale: a 128-rank
 /// erosion run (LB steps included) is bit-identical across
-/// `S ∈ {1, 2, 7, 128}` × all three backends. 128 ranks over `S = 7`
+/// `S ∈ {1, 2, 7, 128}` × worker counts {1, 2, 3}. 128 ranks over `S = 7`
 /// leaves a ragged last shard (6 × 19 + 14).
 #[test]
 fn shard_counts_equivalent_at_128_ranks() {
@@ -112,17 +112,17 @@ fn shard_counts_equivalent_at_ragged_90_ranks() {
 }
 
 /// The acceptance-criterion case: a 128-rank erosion run with LB activity
-/// must be bit-identical across all three backends.
+/// must be bit-identical on one, two and three workers.
 #[test]
 fn equivalent_at_128_ranks() {
     let mut cfg = ErosionConfig::tiny(128, 4);
     cfg.iterations = 30;
-    assert_backends_equivalent(&cfg);
+    assert_worker_counts_equivalent(&cfg);
 }
 
 /// The gossip wire format as a free dimension: for each format (full
 /// snapshots, delta with a tight anti-entropy period, delta with the
-/// default period) the three backends must agree bit-for-bit — at a ragged
+/// default period) every worker count must agree bit-for-bit — at a ragged
 /// P with LB activity, so delta payload construction runs under real
 /// migrations. The wire format changes what the bytes on the wire *are*,
 /// so reports differ *across* formats; determinism within one must hold
@@ -134,7 +134,7 @@ fn wire_formats_equivalent_across_backends_at_ragged_97_ranks() {
         cfg.iterations = 15;
         cfg.initial_lb_cost_factor = 0.05; // make the trigger actually fire
         cfg.gossip_wire = wire;
-        assert_backends_equivalent(&cfg);
+        assert_worker_counts_equivalent(&cfg);
     }
 }
 
@@ -146,11 +146,11 @@ fn equivalent_under_both_policies() {
         cfg.policy = policy;
         cfg.iterations = 80;
         cfg.initial_lb_cost_factor = 0.05; // make the trigger actually fire
-        let threaded = on_backend(&cfg, Backend::Threaded);
-        assert!(threaded.lb_calls > 0 || matches!(cfg.policy, LbPolicy::Standard));
-        for backend in [Backend::Sequential, Backend::Parallel] {
-            let other = on_backend(&cfg, backend);
-            assert_bit_identical(&threaded, &other, backend);
+        let serial = on_workers(&cfg, 1);
+        assert!(serial.lb_calls > 0 || matches!(cfg.policy, LbPolicy::Standard));
+        for workers in [2, 3] {
+            let other = on_workers(&cfg, workers);
+            assert_bit_identical(&serial, &other, &format!("workers={workers}"));
         }
     }
 }
@@ -160,7 +160,7 @@ proptest! {
 
     /// Randomized erosion configurations: ranks, rocks, iterations, seed,
     /// policy, gossip mode, anticipation, hub shard count — always
-    /// bit-identical on all three backends.
+    /// bit-identical on one, two and three workers.
     #[test]
     fn equivalent_on_random_configs(
         ranks in 2usize..12,
@@ -190,11 +190,11 @@ proptest! {
             GossipWire::Full
         };
         cfg.hub_shards = Some(hub_shards);
-        assert_backends_equivalent(&cfg);
+        assert_worker_counts_equivalent(&cfg);
     }
 
     /// Randomized shard sweeps on the full application: any two shard
-    /// counts agree on any backend.
+    /// counts agree on any worker count.
     #[test]
     fn equivalent_on_random_shard_pairs(
         ranks in 3usize..24,
@@ -202,18 +202,17 @@ proptest! {
         seed in any::<u64>(),
         s_a in 1usize..26,
         s_b in 1usize..26,
-        parallel in any::<bool>(),
+        workers in 1usize..4,
     ) {
         let mut cfg = ErosionConfig::tiny(ranks, 1);
         cfg.iterations = iterations;
         cfg.seed = seed;
-        let backend = if parallel { Backend::Parallel } else { Backend::Sequential };
         let mut a = cfg.clone();
         a.hub_shards = Some(s_a);
         let mut b = cfg;
         b.hub_shards = Some(s_b);
-        let ra = on_backend(&a, backend);
-        let rb = on_backend(&b, backend);
-        assert_bit_identical(&ra, &rb, backend);
+        let ra = on_workers(&a, workers);
+        let rb = on_workers(&b, workers);
+        assert_bit_identical(&ra, &rb, &format!("workers={workers} S={s_a} vs S={s_b}"));
     }
 }

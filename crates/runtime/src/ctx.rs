@@ -5,27 +5,24 @@
 //! operation advances the rank's virtual clock according to the
 //! [`MachineSpec`] cost model and books the time into [`RankMetrics`].
 //!
-//! Operations that synchronize with other ranks are `async`: on the
-//! threaded backend they block the rank's OS thread and resolve in a single
-//! poll, while on the cooperative backends (sequential and parallel) they
-//! suspend the rank's future — parking its waker in the hub/mailbox — so a
-//! scheduler can interleave thousands of ranks over few threads. The
+//! Operations that synchronize with other ranks are `async`: they suspend
+//! the rank's future — parking its waker in the hub/mailbox — so the job
+//! server can interleave thousands of ranks over few threads. The
 //! collective *semantics* — rank-indexed value vectors, clock maximum, cost
 //! model charges, combine folds — are pure functions over the deposited
-//! values and are shared by every backend, so a program's [`RankMetrics`]
-//! and clocks are bit-identical regardless of backend.
+//! values, so a program's [`RankMetrics`] and clocks are bit-identical
+//! regardless of worker count, hub shard count, or scheduling order.
 
 use crate::cost::MachineSpec;
 use crate::engine::RunShared;
 use crate::hub::{ExchangeRound, RoundValues};
-use crate::mailbox::{Received, Tag};
+use crate::mailbox::Tag;
 use crate::metrics::{RankMetrics, TimeKind};
 use crate::time::VirtualTime;
 use crate::trace::{Event, EventKind, Tracer};
-use std::future::Future;
-use std::pin::Pin;
+use std::future::poll_fn;
 use std::sync::Arc;
-use std::task::{Context, Poll};
+use std::task::Poll;
 
 /// Execution context handed to each rank closure by [`crate::engine::run`].
 pub struct SpmdCtx {
@@ -35,9 +32,6 @@ pub struct SpmdCtx {
     /// This rank's leaf shard in the rendezvous hub, resolved once per run
     /// so the per-collective hot path never recomputes the mapping.
     hub_shard: usize,
-    /// Waiting strategy: `true` blocks the OS thread (threaded backend),
-    /// `false` suspends the rank future (sequential backend).
-    blocking: bool,
     clock: VirtualTime,
     metrics: RankMetrics,
     send_seq: u64,
@@ -52,7 +46,6 @@ impl SpmdCtx {
         rank: usize,
         size: usize,
         shared: Arc<RunShared>,
-        blocking: bool,
         tracer: Option<Arc<Tracer>>,
     ) -> Self {
         let hub_shard = shared.hub.shard_of(rank);
@@ -61,7 +54,6 @@ impl SpmdCtx {
             size,
             shared,
             hub_shard,
-            blocking,
             clock: VirtualTime::ZERO,
             metrics: RankMetrics::default(),
             send_seq: 0,
@@ -173,7 +165,6 @@ impl SpmdCtx {
         let seq = self.send_seq;
         self.send_seq += 1;
         self.shared.mail.post(self.rank, to, tag, seq, arrival, value);
-        self.shared.note_progress();
         // Injection overhead on the sender.
         self.elapse(TimeKind::Comm, self.shared.spec.latency);
         self.trace(EventKind::Send { to, tag, bytes });
@@ -182,18 +173,12 @@ impl SpmdCtx {
     /// Receive from `from` under `tag`; waits (idle time) until the
     /// message's virtual arrival.
     pub async fn recv<T: Send + 'static>(&mut self, from: usize, tag: Tag) -> T {
-        let got = if self.blocking {
-            self.shared.mail.recv::<T>(self.rank, from, tag)
-        } else {
-            RecvFuture::<T> {
-                shared: Arc::clone(&self.shared),
-                me: self.rank,
-                from,
-                tag,
-                _payload: std::marker::PhantomData,
-            }
-            .await
-        };
+        // A miss parks the waker in the inbox; the matching post wakes it.
+        let (mail, me) = (&self.shared.mail, self.rank);
+        let got = poll_fn(|cx| {
+            mail.poll_recv::<T>(me, from, tag, cx.waker()).map_or(Poll::Pending, Poll::Ready)
+        })
+        .await;
         let wait = got.arrival.since(self.clock);
         self.metrics.charge(TimeKind::Idle, wait);
         self.clock = self.clock.max(got.arrival);
@@ -220,24 +205,28 @@ impl SpmdCtx {
 
     // --- collectives --------------------------------------------------------
 
-    /// One hub rendezvous under the backend's waiting strategy.
+    /// One hub rendezvous: deposit `value` once the previous round is
+    /// drained, then resolve when the round completes. Every `Pending`
+    /// leaves the waker parked in the hub, so the job server re-polls
+    /// exactly when the blocking state transition happens.
     async fn exchange<T: Clone + Send + Sync + 'static>(
         &mut self,
         op: &'static str,
         value: T,
     ) -> ExchangeRound<T> {
-        if self.blocking {
-            self.shared.hub.exchange_in_shard(self.hub_shard, self.rank, op, value, self.clock)
-        } else {
-            ExchangeFuture {
-                shared: Arc::clone(&self.shared),
-                rank: self.rank,
-                shard: self.hub_shard,
-                op,
-                pending: Some((value, self.clock)),
+        let (hub, rank, shard, clock) = (&self.shared.hub, self.rank, self.hub_shard, self.clock);
+        let mut pending = Some(value);
+        poll_fn(|cx| {
+            if let Some(value) = pending.take() {
+                if let Err(value) = hub.poll_deposit(shard, rank, op, value, clock, cx.waker()) {
+                    // Previous round not fully drained yet: retry when woken.
+                    pending = Some(value);
+                    return Poll::Pending;
+                }
             }
-            .await
-        }
+            hub.poll_collect(shard, rank, op, cx.waker()).map_or(Poll::Pending, Poll::Ready)
+        })
+        .await
     }
 
     fn sync(&mut self, max_clock: VirtualTime, cost: f64, kind: TimeKind) {
@@ -297,7 +286,7 @@ impl SpmdCtx {
     /// Reduce `value` across ranks with `combine`; every rank receives the
     /// left fold of the values in rank order, computed once per round (see
     /// [`SpmdCtx::allgather_fold`]), so even a non-associative `combine`
-    /// (an `f64` sum) yields the same bits on every rank and backend.
+    /// (an `f64` sum) yields the same bits on every rank and worker count.
     pub async fn allreduce<T, F>(&mut self, value: T, bytes: usize, combine: F) -> T
     where
         T: Clone + Send + Sync + 'static,
@@ -400,83 +389,5 @@ impl Drop for SpmdCtx {
     /// which case the engine re-raises the panic and never reads them).
     fn drop(&mut self) {
         self.shared.record_final(self.rank, self.clock, self.metrics);
-    }
-}
-
-/// Cooperative-mode rendezvous: deposit once the previous round is drained,
-/// then resolve when the round completes. Every `Pending` return leaves the
-/// task's waker parked in the hub, so a wake-driven executor (the parallel
-/// backend) re-polls exactly when the blocking state transition happens;
-/// the sequential scheduler passes a no-op waker and re-polls by
-/// round-robin instead.
-struct ExchangeFuture<T> {
-    shared: Arc<RunShared>,
-    rank: usize,
-    /// The rank's leaf shard in the hub (cached by the ctx).
-    shard: usize,
-    op: &'static str,
-    /// `Some` until the deposit was accepted.
-    pending: Option<(T, VirtualTime)>,
-}
-
-// Purely data, never self-referential, so polling through `&mut` is fine.
-impl<T> Unpin for ExchangeFuture<T> {}
-
-impl<T: Clone + Send + Sync + 'static> Future for ExchangeFuture<T> {
-    type Output = ExchangeRound<T>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        if let Some((value, clock)) = this.pending.take() {
-            match this.shared.hub.poll_deposit(
-                this.shard,
-                this.rank,
-                this.op,
-                value,
-                clock,
-                cx.waker(),
-            ) {
-                Ok(()) => this.shared.note_progress(),
-                Err(value) => {
-                    // Previous round not fully drained yet: retry when woken.
-                    this.pending = Some((value, clock));
-                    return Poll::Pending;
-                }
-            }
-        }
-        match this.shared.hub.poll_collect::<T>(this.shard, this.rank, this.op, cx.waker()) {
-            Some(round) => {
-                this.shared.note_progress();
-                Poll::Ready(round)
-            }
-            None => Poll::Pending,
-        }
-    }
-}
-
-/// Cooperative-mode receive: resolves once a matching message is posted
-/// (the posting rank wakes the parked receiver).
-struct RecvFuture<T> {
-    shared: Arc<RunShared>,
-    me: usize,
-    from: usize,
-    tag: Tag,
-    _payload: std::marker::PhantomData<fn() -> T>,
-}
-
-impl<T> Unpin for RecvFuture<T> {}
-
-impl<T: Send + 'static> Future for RecvFuture<T> {
-    type Output = Received<T>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        match this.shared.mail.poll_recv::<T>(this.me, this.from, this.tag, cx.waker()) {
-            Some(received) => {
-                this.shared.note_progress();
-                Poll::Ready(received)
-            }
-            None => Poll::Pending,
-        }
     }
 }

@@ -1,116 +1,29 @@
-//! The run engine: backend-agnostic run configuration, shared run state,
-//! and the [`run`]/[`try_run`] entry points that dispatch an SPMD program
-//! onto one of the pluggable execution backends in [`crate::exec`].
+//! The run engine: run configuration, shared per-run state, and the
+//! [`run`]/[`try_run`] entry points.
 //!
-//! # Backends
-//!
-//! * [`Backend::Threaded`] — one OS thread per rank; blocking rendezvous on
-//!   condvars. Real parallelism, but thread-count limits cap it at a few
-//!   thousand ranks.
-//! * [`Backend::Sequential`] — a single-threaded cooperative scheduler that
-//!   polls every rank's program slice-by-slice between synchronization
-//!   points. No OS threads, no blocking; scales to tens of thousands of
-//!   ranks with **identical** [`RunReport`] output.
-//! * [`Backend::Parallel`] — submit the run as a job to a work-stealing
-//!   [`JobServer`]: the one targeted by [`RunConfig::with_server`], the
-//!   process-wide default ([`JobServer::global`]) when no worker count is
-//!   forced, or a transient private pool when one is. Blocked ranks park
-//!   wakers in their job's hub/mailbox and are re-queued on wake-up.
-//!   Sequential's scale *and* threaded's parallelism — and one shared pool
-//!   can drive many concurrent jobs.
-//!
-//! All backends drive the same [`crate::ctx::SpmdCtx`] accounting and the
-//! same [`crate::hub::Hub`]/[`crate::mailbox::MailboxSet`] state machines;
-//! only the waiting strategy differs (block vs. suspend), so a program's
-//! virtual-time behaviour is bit-identical across backends — and, on the
-//! job server, independent of which other jobs share the pool.
+//! Every run is a job on a work-stealing [`JobServer`]: the one targeted
+//! by [`RunConfig::with_server`], the process-wide default
+//! ([`JobServer::global`]) when no worker count is forced, or a transient
+//! private pool when one is. Blocked ranks park wakers in their job's
+//! [`crate::hub::Hub`]/[`crate::mailbox::MailboxSet`] and are re-queued on
+//! wake-up. All accounting lives in [`crate::ctx::SpmdCtx`] and the hub, so
+//! a program's virtual-time behaviour is bit-identical for any worker
+//! count and hub shard count — and independent of which other jobs share
+//! the pool. A one-worker server is a deterministic single-threaded
+//! executor with exact deadlock detection.
 
 use crate::cost::MachineSpec;
 use crate::ctx::SpmdCtx;
-use crate::exec;
-use crate::exec::server::{JobServer, Priority};
+use crate::exec::server::{self, JobServer, Priority};
 use crate::hub::Hub;
 use crate::mailbox::MailboxSet;
 use crate::metrics::{Collector, IterationStats, RankMetrics};
 use crate::time::VirtualTime;
 use crate::trace::Tracer;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::future::Future;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Which execution strategy runs the ranks of an SPMD program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Backend {
-    /// One OS thread per rank, blocking rendezvous (the default). Best when
-    /// rank bodies do real CPU work that benefits from physical cores.
-    Threaded,
-    /// Single-threaded lockstep scheduler: every rank's program runs
-    /// slice-by-slice between synchronization points on the calling thread.
-    /// Best for large `P` (no thread-count limits) and for deterministic
-    /// debugging.
-    Sequential,
-    /// Submit the run as a job to a work-stealing [`JobServer`] (the
-    /// explicitly targeted one, the process-wide default, or a transient
-    /// private pool — see [`RunConfig::with_server`]); blocked ranks are
-    /// woken by the deposit/post that unblocks them. Best when rank bodies
-    /// do real CPU work *and* `P` is large: all cores stay busy without
-    /// one thread per rank, and many runs can share one pool.
-    Parallel,
-}
-
-impl Backend {
-    /// Read the `ULBA_BACKEND` environment variable (`threaded`,
-    /// `sequential` or `parallel`, mirroring the `ULBA_QUICK` convention).
-    /// Returns `None` when unset; unknown values warn once per process and
-    /// are ignored.
-    #[deprecated(note = "use `RunConfig::from_env`, which folds `ULBA_BACKEND`, \
-                         `ULBA_WORKERS` and `ULBA_HUB_SHARDS` in one place")]
-    pub fn from_env() -> Option<Backend> {
-        let raw = std::env::var("ULBA_BACKEND").ok()?;
-        match raw.parse() {
-            Ok(backend) => Some(backend),
-            Err(()) => {
-                warn_unknown_backend(&raw);
-                None
-            }
-        }
-    }
-}
-
-/// Warn once per process about an unparsable `ULBA_BACKEND` value.
-fn warn_unknown_backend(raw: &str) {
-    static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-    WARN_ONCE.call_once(|| {
-        eprintln!(
-            "ulba-runtime: ignoring unknown ULBA_BACKEND value `{raw}` \
-             (expected `threaded`, `sequential` or `parallel`)"
-        );
-    });
-}
-
-impl std::str::FromStr for Backend {
-    type Err = ();
-    fn from_str(s: &str) -> Result<Self, ()> {
-        match s.to_ascii_lowercase().as_str() {
-            "threaded" | "threads" | "thread" => Ok(Backend::Threaded),
-            "sequential" | "seq" => Ok(Backend::Sequential),
-            "parallel" | "par" | "pool" => Ok(Backend::Parallel),
-            _ => Err(()),
-        }
-    }
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Backend::Threaded => "threaded",
-            Backend::Sequential => "sequential",
-            Backend::Parallel => "parallel",
-        })
-    }
-}
 
 /// Configuration of one SPMD run.
 #[derive(Clone)]
@@ -119,35 +32,26 @@ pub struct RunConfig {
     pub ranks: usize,
     /// Machine cost model driving the virtual clocks.
     pub spec: MachineSpec,
-    /// Per-thread stack size in bytes, used by the threaded backend only
-    /// (ranks are lightweight; 2 MiB default keeps 256-rank runs comfortably
-    /// under control).
-    pub stack_size: usize,
     /// Optional event tracer shared by all ranks (free in virtual time).
     pub tracer: Option<Arc<Tracer>>,
-    /// Execution backend. Defaults to the `ULBA_BACKEND` environment
-    /// variable, falling back to [`Backend::Threaded`].
-    pub backend: Backend,
-    /// Worker threads of the parallel backend; `0` (the default) means the
-    /// machine's available parallelism. Defaults to the `ULBA_WORKERS`
-    /// environment variable. The other backends spawn no workers from it,
-    /// but it still seeds the automatic hub shard count
-    /// ([`RunConfig::effective_hub_shards`]) on the threaded backend.
+    /// Worker threads of the transient pool a run without a
+    /// [`RunConfig::server`] stands up; `0` (the default) submits to the
+    /// process-wide [`JobServer::global`] instead. Defaults to the
+    /// `ULBA_WORKERS` environment variable. Also seeds the automatic hub
+    /// shard count ([`RunConfig::effective_hub_shards`]).
     pub workers: usize,
     /// Leaf shard count of the collective rendezvous hub; `0` (the
     /// default) resolves to `min(effective workers, 64)` (capped at
-    /// `ranks`), so a parallel run spreads rendezvous contention over one
-    /// shard per worker while the sequential backend keeps the degenerate
-    /// single shard. Defaults to the `ULBA_HUB_SHARDS` environment
-    /// variable. Reports are bit-identical for **any** shard count.
+    /// `ranks`), so a run spreads rendezvous contention over one shard per
+    /// worker. Defaults to the `ULBA_HUB_SHARDS` environment variable.
+    /// Reports are bit-identical for **any** shard count.
     pub hub_shards: usize,
-    /// Existing [`JobServer`] to submit to when the backend is
-    /// [`Backend::Parallel`]; `None` (the default) uses the process-wide
-    /// default server ([`JobServer::global`]), or a transient private pool
-    /// when [`RunConfig::workers`] is forced nonzero.
+    /// Existing [`JobServer`] to submit to; `None` (the default) uses the
+    /// process-wide default server ([`JobServer::global`]), or a transient
+    /// private pool when [`RunConfig::workers`] is forced nonzero.
     pub server: Option<JobServer>,
-    /// Admission priority of the job on its server (parallel backend
-    /// only). Defaults to [`Priority::Normal`].
+    /// Admission priority of the job on its server. Defaults to
+    /// [`Priority::Normal`].
     pub priority: Priority,
 }
 
@@ -160,14 +64,12 @@ impl RunConfig {
     }
 
     /// A run with `ranks` ranks on the default machine, ignoring the
-    /// environment: threaded backend, automatic workers and hub shards.
+    /// environment: the global pool and automatic hub shards.
     pub fn defaults(ranks: usize) -> Self {
         Self {
             ranks,
             spec: MachineSpec::default(),
-            stack_size: 2 * 1024 * 1024,
             tracer: None,
-            backend: Backend::Threaded,
             workers: 0,
             hub_shards: 0,
             server: None,
@@ -179,9 +81,6 @@ impl RunConfig {
     /// place the engine parses runtime env vars, so binaries and tests
     /// don't re-implement the precedence themselves:
     ///
-    /// * `ULBA_BACKEND` → [`RunConfig::backend`] (`threaded`,
-    ///   `sequential`, `parallel`; unknown values warn once and are
-    ///   ignored),
     /// * `ULBA_WORKERS` → [`RunConfig::workers`],
     /// * `ULBA_HUB_SHARDS` → [`RunConfig::hub_shards`].
     ///
@@ -189,12 +88,6 @@ impl RunConfig {
     /// untouched, so explicit `with_*` calls made *after* this step win,
     /// while the environment overrides the plain defaults.
     pub fn from_env(mut self) -> Self {
-        if let Ok(raw) = std::env::var("ULBA_BACKEND") {
-            match raw.parse() {
-                Ok(backend) => self.backend = backend,
-                Err(()) => warn_unknown_backend(&raw),
-            }
-        }
         if let Some(workers) = env_usize("ULBA_WORKERS") {
             self.workers = workers;
         }
@@ -216,20 +109,8 @@ impl RunConfig {
         self
     }
 
-    /// Select the execution backend explicitly (overrides `ULBA_BACKEND`).
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Override the per-rank thread stack size (threaded backend only).
-    pub fn with_stack_size(mut self, bytes: usize) -> Self {
-        self.stack_size = bytes;
-        self
-    }
-
-    /// Set the worker-thread count of the parallel backend (`0` = all
-    /// available cores; overrides `ULBA_WORKERS`).
+    /// Run on a transient pool of `workers` threads (`0` = the global
+    /// pool, sized to all available cores; overrides `ULBA_WORKERS`).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
@@ -245,16 +126,13 @@ impl RunConfig {
     }
 
     /// Submit this run to an existing [`JobServer`] instead of the default
-    /// global one. Implies [`Backend::Parallel`] (the other backends don't
-    /// use a pool).
+    /// global one.
     pub fn with_server(mut self, server: JobServer) -> Self {
         self.server = Some(server);
-        self.backend = Backend::Parallel;
         self
     }
 
-    /// Set the job's admission priority on its server (parallel backend
-    /// only; see [`Priority`]).
+    /// Set the job's admission priority on its server (see [`Priority`]).
     pub fn with_priority(mut self, priority: Priority) -> Self {
         self.priority = priority;
         self
@@ -262,16 +140,14 @@ impl RunConfig {
 
     /// The hub shard count this configuration resolves to: the explicit
     /// [`RunConfig::hub_shards`] if nonzero, otherwise
-    /// `min(effective workers, 64)` — one shard per worker of the parallel
-    /// backend (threaded runs shard by available parallelism; the
-    /// single-threaded sequential scheduler keeps the degenerate single
-    /// shard). Always clamped to `[1, ranks]`.
+    /// `min(effective workers, 64)` — one shard per worker. Always clamped
+    /// to `[1, ranks]`.
     pub fn effective_hub_shards(&self) -> usize {
-        let auto = || match self.backend {
-            Backend::Sequential => 1,
-            Backend::Threaded | Backend::Parallel => exec::server::effective_workers(self).min(64),
+        let shards = if self.hub_shards > 0 {
+            self.hub_shards
+        } else {
+            server::effective_workers(self).min(64)
         };
-        let shards = if self.hub_shards > 0 { self.hub_shards } else { auto() };
         shards.clamp(1, self.ranks.max(1))
     }
 }
@@ -284,23 +160,11 @@ fn env_usize(name: &str) -> Option<usize> {
 /// A structured run failure (instead of a panic deep inside the engine).
 #[derive(Debug)]
 pub enum RunError {
-    /// The threaded backend could not spawn a rank thread — typically the
-    /// OS thread limit or address space at large `P`. The run was aborted
-    /// before any rank executed, so retrying on [`Backend::Sequential`] is
-    /// always safe ([`run`] does exactly that automatically).
-    ThreadSpawn {
-        /// Rank whose thread failed to spawn.
-        rank: usize,
-        /// Total ranks requested.
-        ranks: usize,
-        /// The underlying OS error.
-        source: std::io::Error,
-    },
     /// The program can never finish: some ranks are permanently blocked
     /// (a collective not every rank joins, or a `recv` with no matching
-    /// send). Detected by the sequential and parallel backends — the
-    /// threaded backend hangs in this situation, like a real MPI job.
-    /// [`try_run`] surfaces this error; [`run`] panics on it.
+    /// send). Detected exactly, per job, by the [`JobServer`] — where a
+    /// real MPI job would hang. [`try_run`] surfaces this error; [`run`]
+    /// panics on it.
     Deadlock {
         /// Id of the deadlocked job (process-unique, starts at 1). On a
         /// shared [`JobServer`] many jobs are in flight at once; the id
@@ -331,9 +195,6 @@ pub enum RunError {
 impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RunError::ThreadSpawn { rank, ranks, source } => {
-                write!(f, "failed to spawn the thread of rank {rank} (of {ranks}): {source}")
-            }
             RunError::Deadlock { job, blocked, ranks, shards } => {
                 write!(
                     f,
@@ -359,14 +220,7 @@ impl std::fmt::Display for RunError {
     }
 }
 
-impl std::error::Error for RunError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            RunError::ThreadSpawn { source, .. } => Some(source),
-            RunError::Deadlock { .. } | RunError::ResultMissing { .. } => None,
-        }
-    }
-}
+impl std::error::Error for RunError {}
 
 /// Everything measured during a run.
 #[derive(Debug, Clone)]
@@ -405,7 +259,7 @@ impl RunReport {
     }
 }
 
-/// The backend-agnostic state shared by every rank of one run: the
+/// The state shared by every rank of one run: the
 /// collective rendezvous hub, the point-to-point mailboxes, the metrics
 /// collector, the machine model, and the per-rank final accounting slots.
 pub(crate) struct RunShared {
@@ -418,12 +272,9 @@ pub(crate) struct RunShared {
     /// [`JobServer`] stay distinguishable.
     job: u64,
     finals: Vec<Mutex<Option<(VirtualTime, RankMetrics)>>>,
-    /// Bumped on every deposit/post/receive so the sequential scheduler can
-    /// distinguish "still converging" from "deadlocked".
-    progress: AtomicU64,
 }
 
-/// Source of [`RunShared::job_id`]s: every run of any backend draws one.
+/// Source of [`RunShared::job_id`]s: every run draws one.
 static NEXT_JOB_ID: AtomicU64 = AtomicU64::new(1);
 
 impl RunShared {
@@ -436,21 +287,12 @@ impl RunShared {
             spec: config.spec.clone(),
             job,
             finals: (0..config.ranks).map(|_| Mutex::new(None)).collect(),
-            progress: AtomicU64::new(0),
         })
     }
 
     /// The process-unique id of this run (see [`RunError::Deadlock::job`]).
     pub(crate) fn job_id(&self) -> u64 {
         self.job
-    }
-
-    pub(crate) fn note_progress(&self) {
-        self.progress.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn progress_count(&self) -> u64 {
-        self.progress.load(Ordering::Relaxed)
     }
 
     pub(crate) fn record_final(&self, rank: usize, clock: VirtualTime, metrics: RankMetrics) {
@@ -487,80 +329,34 @@ impl RunShared {
 /// report. `body` is invoked once per rank with that rank's [`SpmdCtx`] and
 /// returns the rank's program as a future; operations that synchronize with
 /// other ranks (`recv`, `barrier`, collectives) are `async` and suspend at
-/// the synchronization point, which is what lets the cooperative backends
-/// interleave thousands of ranks over few threads (rank futures migrate
-/// between a job server's workers, hence the `Send + 'static` bounds — a
-/// rank program owns its data).
+/// the synchronization point, which is what lets a [`JobServer`] interleave
+/// thousands of ranks over few threads (rank futures migrate between its
+/// workers, hence the `Send + 'static` bounds — a rank program owns its
+/// data).
 ///
 /// # Failure contract
 ///
 /// Panics in any rank propagate after the run is wound down (the panic
-/// payload of the lowest-ranked failing rank is resumed). If the threaded
-/// backend cannot spawn its rank threads (OS thread limits at large `P`),
-/// the run transparently falls back to the sequential backend. A
-/// deadlocked program — detected exactly by the sequential and parallel
-/// backends; the threaded backend hangs like a real MPI job — **panics**
-/// with the full [`RunError::Deadlock`] diagnostic: the job id, the
-/// blocked ranks, and the hub shards holding them. Use [`try_run`] to
-/// observe either failure as a structured [`RunError`] instead.
+/// payload of the lowest-ranked failing rank is resumed). A deadlocked
+/// program **panics** with the full [`RunError::Deadlock`] diagnostic: the
+/// job id, the blocked ranks, and the hub shards holding them. Use
+/// [`try_run`] to observe it as a structured [`RunError`] instead.
 pub fn run<F, Fut>(config: RunConfig, body: F) -> RunReport
 where
-    F: Fn(SpmdCtx) -> Fut + Sync,
+    F: Fn(SpmdCtx) -> Fut,
     Fut: Future<Output = ()> + Send + 'static,
 {
-    match config.backend {
-        Backend::Threaded => {
-            let shared = RunShared::new(&config);
-            match exec::threaded::execute(&shared, &config, &body) {
-                Ok(()) => shared.build_report(),
-                Err(err) => {
-                    eprintln!("ulba-runtime: {err}; falling back to the sequential backend");
-                    run_sequential(&config, &body).unwrap_or_else(|err| panic!("{err}"))
-                }
-            }
-        }
-        Backend::Sequential => run_sequential(&config, &body).unwrap_or_else(|err| panic!("{err}")),
-        Backend::Parallel => {
-            exec::server::execute(&config, &body).unwrap_or_else(|err| panic!("{err}"))
-        }
-    }
+    try_run(config, body).unwrap_or_else(|err| panic!("{err}"))
 }
 
-/// Like [`run`], but reports backend failures as a structured [`RunError`]
-/// instead of falling back or panicking:
-///
-/// * thread-spawn exhaustion on the threaded backend →
-///   [`RunError::ThreadSpawn`] (no sequential fallback is attempted);
-/// * deadlock on the sequential/parallel backends →
-///   [`RunError::Deadlock`], tagged with the job id and the hub shards of
-///   the blocked ranks.
-///
-/// Rank panics are **not** converted: they resume on the calling thread,
-/// exactly as under [`run`].
+/// Like [`run`], but reports a deadlock as [`RunError::Deadlock`] (tagged
+/// with the job id and the hub shards of the blocked ranks) instead of
+/// panicking. Rank panics are **not** converted: they resume on the
+/// calling thread, exactly as under [`run`].
 pub fn try_run<F, Fut>(config: RunConfig, body: F) -> Result<RunReport, RunError>
 where
-    F: Fn(SpmdCtx) -> Fut + Sync,
+    F: Fn(SpmdCtx) -> Fut,
     Fut: Future<Output = ()> + Send + 'static,
 {
-    match config.backend {
-        Backend::Threaded => {
-            let shared = RunShared::new(&config);
-            exec::threaded::execute(&shared, &config, &body)?;
-            Ok(shared.build_report())
-        }
-        Backend::Sequential => run_sequential(&config, &body),
-        Backend::Parallel => exec::server::execute(&config, &body),
-    }
-}
-
-/// Drive a run on the single-threaded lockstep scheduler.
-fn run_sequential<F, Fut>(config: &RunConfig, body: &F) -> Result<RunReport, RunError>
-where
-    F: Fn(SpmdCtx) -> Fut,
-    Fut: Future<Output = ()>,
-{
-    assert!(config.ranks >= 1, "need at least one rank");
-    let shared = RunShared::new(config);
-    exec::sequential::execute(&shared, config, body)?;
-    Ok(shared.build_report())
+    server::execute(&config, body)
 }

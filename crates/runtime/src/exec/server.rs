@@ -1,9 +1,9 @@
-//! The job server: a long-lived work-stealing pool that admits many
-//! concurrent SPMD jobs.
+//! The job server: the runtime's executor, a long-lived work-stealing pool
+//! that admits many concurrent SPMD jobs.
 //!
-//! Where the old parallel backend built a private pool per run, a
-//! [`JobServer`] owns `M` worker threads for its whole lifetime and
-//! multiplexes any number of submitted jobs over them:
+//! A [`JobServer`] owns `M` worker threads for its whole lifetime and
+//! multiplexes any number of submitted jobs over them ([`crate::run`] is a
+//! thin wrapper that submits one job and joins it):
 //!
 //! * [`JobServer::submit`] turns a [`RunConfig`] + rank body into a [`Job`]
 //!   — one future per rank, a per-job [`RunShared`] (hub, mailboxes,
@@ -173,8 +173,7 @@ struct Job {
     cancelled: AtomicBool,
     /// Guards [`finalize`] against the benign last-decrement races.
     finalized: AtomicBool,
-    /// First panic payload observed (lowest task id wins, like the
-    /// threaded backend's lowest-ranked failing thread).
+    /// First panic payload observed (lowest task id wins).
     panics: Mutex<Option<(usize, Box<dyn Any + Send>)>>,
     /// One waker per task for the whole run (polls and hub/mailbox parks
     /// only clone it), keeping Arc churn off the hottest scheduler path.
@@ -215,9 +214,8 @@ type DeferredWake = (Arc<ServerCore>, Arc<Job>, usize);
 /// server: the state transitions (which deduplicate concurrent wakes) still
 /// happen one by one, but all resulting run-queue insertions of one server
 /// land under a single queue lock, and sleeping workers are roused once per
-/// batch instead of once per task. Wakers of other backends (no-op wakers
-/// of the sequential scheduler, thread unparkers of the threaded backend)
-/// are simply woken in order.
+/// batch instead of once per task. Other wakers (a test's no-op or
+/// counting waker) are simply woken in order.
 pub(crate) fn wake_batched(wakers: Vec<Waker>) {
     if wakers.len() <= 1 {
         for waker in wakers {
@@ -629,8 +627,8 @@ impl Drop for ServerGuard {
 /// jobs. Cloning is cheap and shares the pool; the worker threads exit when
 /// the last clone and the last outstanding [`JobHandle`] are dropped.
 ///
-/// [`crate::run`]/[`crate::try_run`] with [`crate::Backend::Parallel`] are
-/// thin wrappers over a server: an explicit one
+/// [`crate::run`]/[`crate::try_run`] are thin wrappers over a server: an
+/// explicit one
 /// ([`crate::RunConfig::with_server`]), the process-wide default
 /// ([`JobServer::global`]) when no worker count is forced, or a transient
 /// private pool when one is ([`crate::RunConfig::with_workers`]).
@@ -701,7 +699,7 @@ impl JobServer {
 
     /// Submit `body` as an SPMD job over `config.ranks` ranks; returns
     /// immediately with a handle. The job runs on this server's workers
-    /// regardless of `config.backend`, at `config.priority`, with its own
+    /// (whatever `config.server` says), at `config.priority`, with its own
     /// hub/mailbox namespace and job id. See [`crate::run`] for the body
     /// contract; the future must be `'static` because it outlives the
     /// submitting stack frame.
@@ -718,13 +716,7 @@ impl JobServer {
             priority: config.priority,
             slots: (0..ranks)
                 .map(|rank| {
-                    let ctx = SpmdCtx::new(
-                        rank,
-                        ranks,
-                        Arc::clone(&shared),
-                        false,
-                        config.tracer.clone(),
-                    );
+                    let ctx = SpmdCtx::new(rank, ranks, Arc::clone(&shared), config.tracer.clone());
                     Mutex::new(Some(Box::pin(body(ctx)) as BoxFuture))
                 })
                 .collect(),
@@ -859,7 +851,7 @@ pub(crate) fn effective_workers(config: &RunConfig) -> usize {
     requested.clamp(1, config.ranks)
 }
 
-/// [`crate::Backend::Parallel`] entry point: route the run to a server —
+/// [`crate::run`]'s executor: route the run to a server —
 /// the explicitly targeted one, the process-wide default, or a transient
 /// private pool when a worker count is forced — and join it.
 pub(crate) fn execute<F, Fut>(config: &RunConfig, body: F) -> Result<RunReport, RunError>

@@ -1,5 +1,5 @@
-//! `ulba-runtime` — a virtual-time SPMD distributed-memory runtime with
-//! pluggable execution backends.
+//! `ulba-runtime` — a virtual-time SPMD distributed-memory runtime on a
+//! shared work-stealing job server.
 //!
 //! Boulmier et al. (CLUSTER 2019) evaluated ULBA with MPI on a physical
 //! cluster. This crate is the substitute substrate: it runs an SPMD program
@@ -11,29 +11,16 @@
 //! bulk-synchronous machine, but deterministic and independent of how many
 //! physical cores run the simulation.
 //!
-//! # Execution backends
+//! # Execution
 //!
 //! Rank programs are `async`: operations that synchronize with other ranks
-//! (`recv`, `barrier`, collectives) are await points, which lets the
-//! execution strategy be chosen per run ([`RunConfig::with_backend`], or
-//! the `ULBA_BACKEND` environment variable):
-//!
-//! * [`Backend::Threaded`] (default) — one OS thread per rank, blocking
-//!   rendezvous. Real parallelism for CPU-heavy rank bodies, but OS thread
-//!   limits cap it at a few thousand ranks.
-//! * [`Backend::Sequential`] — a single-threaded lockstep (discrete-event)
-//!   scheduler that runs each rank's program slice-by-slice between
-//!   synchronization points. No threads and no blocking, so it scales to
-//!   tens of thousands of ranks (`P ≥ 16384`) and detects deadlocks
-//!   instead of hanging.
-//! * [`Backend::Parallel`] — submit the run as a job to a work-stealing
-//!   [`JobServer`] (`M` worker threads, [`RunConfig::with_workers`] /
-//!   `ULBA_WORKERS`; default: the process-wide [`JobServer::global`] sized
-//!   to all cores) driving all rank futures; ranks blocked at a
-//!   synchronization point park their wakers in their job's hub/mailbox
-//!   and are re-queued by the deposit/post that unblocks them. Combines
-//!   sequential's scale with threaded's parallelism: `P = 16384` runs
-//!   multi-core.
+//! (`recv`, `barrier`, collectives) are await points. Every run is a job on
+//! a work-stealing [`JobServer`] — `M` worker threads driving all rank
+//! futures ([`RunConfig::with_workers`] / `ULBA_WORKERS`; default: the
+//! process-wide [`JobServer::global`] sized to all cores). Ranks blocked at
+//! a synchronization point park their wakers in their job's hub/mailbox and
+//! are re-queued by the deposit/post that unblocks them, so `P = 16384`
+//! runs on a handful of threads, multi-core.
 //!
 //! One [`JobServer`] admits **many concurrent jobs**: each gets its own
 //! hub/mailbox namespace and job id, admission is priority-ordered
@@ -41,7 +28,8 @@
 //! live-task counter, so a stuck job is reported (tagged with its id)
 //! while unrelated jobs keep running. Batch clients create one server,
 //! [`JobServer::submit`] their whole sweep, and join the
-//! [`JobHandle`]s.
+//! [`JobHandle`]s. A one-worker server (`JobServer::new(1)`) is a
+//! deterministic single-threaded executor.
 //!
 //! Collectives rendezvous at a **sharded** hub: ranks deposit into
 //! `S` leaf shards (one lock each, [`RunConfig::with_hub_shards`] /
@@ -49,14 +37,11 @@
 //! combine up a fixed-arity reduction tree, so at `P = 16384` a deposit
 //! contends with `P/S` ranks instead of all of them.
 //!
-//! All backends drive the same accounting, collective semantics, and
-//! message matching, so they produce **bit-identical** [`RunReport`]s —
-//! for any backend **and any hub shard count**.
-//! If the threaded backend cannot spawn its rank threads (large `P`),
-//! [`run`] transparently falls back to the sequential backend;
-//! [`try_run`] surfaces the failure as a [`RunError`] instead. Deadlocked
-//! programs are detected by the sequential and parallel backends and
-//! reported as [`RunError::Deadlock`] (or a panic from [`run`]).
+//! Accounting, collective semantics and message matching never depend on
+//! the schedule, so [`RunReport`]s are **bit-identical** for any worker
+//! count **and any hub shard count**. A deadlocked program is detected
+//! exactly and reported as [`RunError::Deadlock`] by [`try_run`] (or a
+//! panic from [`run`]).
 //!
 //! # Example
 //!
@@ -90,7 +75,7 @@ pub mod trace;
 
 pub use cost::MachineSpec;
 pub use ctx::SpmdCtx;
-pub use engine::{run, try_run, Backend, RunConfig, RunError, RunReport};
+pub use engine::{run, try_run, RunConfig, RunError, RunReport};
 pub use exec::server::{JobHandle, JobServer, Priority};
 pub use mailbox::Tag;
 pub use metrics::{IterationStats, RankMetrics, TimeKind};
@@ -280,7 +265,7 @@ mod tests {
 
     #[test]
     fn many_ranks_smoke() {
-        // 128 rank threads on one core: correctness, not speed.
+        // 128 ranks on the global pool: correctness, not speed.
         let report = run(RunConfig::new(128), |mut ctx| async move {
             let sum = ctx.allreduce_sum(1.0).await;
             assert_eq!(sum, 128.0);
@@ -311,7 +296,7 @@ mod tests {
         assert!((report.final_clocks[1].as_secs() - 1.0).abs() < 1e-9);
     }
 
-    // --- backend-specific behaviour ------------------------------------
+    // --- executor behaviour --------------------------------------------
 
     /// A BSP body exercising compute, p2p, collectives, LB sections, and
     /// iteration marks — the full ctx surface.
@@ -341,22 +326,28 @@ mod tests {
 
     #[test]
     fn backends_produce_bit_identical_reports() {
-        let threaded = run(RunConfig::new(9).with_backend(Backend::Threaded), mixed_body);
-        for backend in [Backend::Sequential, Backend::Parallel] {
-            let other = run(RunConfig::new(9).with_backend(backend), mixed_body);
-            assert_eq!(
-                threaded.makespan().as_secs().to_bits(),
-                other.makespan().as_secs().to_bits(),
-                "{backend} makespan"
-            );
-            assert_eq!(threaded.rank_metrics, other.rank_metrics, "{backend}");
-            assert_eq!(threaded.final_clocks, other.final_clocks, "{backend}");
-            assert_eq!(threaded.lb_iterations, other.lb_iterations, "{backend}");
-            assert_eq!(threaded.iterations.len(), other.iterations.len(), "{backend}");
-            for (a, b) in threaded.iterations.iter().zip(&other.iterations) {
-                assert_eq!(a.wall_time.to_bits(), b.wall_time.to_bits());
-                assert_eq!(a.mean_utilization.to_bits(), b.mean_utilization.to_bits());
-                assert_eq!(a.lb_active, b.lb_active);
+        // Reference: one worker, one hub shard — fully serial execution.
+        let p = 9;
+        let reference = run(RunConfig::new(p).with_workers(1).with_hub_shards(1), mixed_body);
+        for workers in [1usize, 2, 3] {
+            for shards in [1usize, 2, 7, p] {
+                let config = RunConfig::new(p).with_workers(workers).with_hub_shards(shards);
+                let other = run(config, mixed_body);
+                let at = format!("workers={workers} S={shards}");
+                assert_eq!(
+                    reference.makespan().as_secs().to_bits(),
+                    other.makespan().as_secs().to_bits(),
+                    "{at} makespan"
+                );
+                assert_eq!(reference.rank_metrics, other.rank_metrics, "{at}");
+                assert_eq!(reference.final_clocks, other.final_clocks, "{at}");
+                assert_eq!(reference.lb_iterations, other.lb_iterations, "{at}");
+                assert_eq!(reference.iterations.len(), other.iterations.len(), "{at}");
+                for (a, b) in reference.iterations.iter().zip(&other.iterations) {
+                    assert_eq!(a.wall_time.to_bits(), b.wall_time.to_bits(), "{at}");
+                    assert_eq!(a.mean_utilization.to_bits(), b.mean_utilization.to_bits());
+                    assert_eq!(a.lb_active, b.lb_active);
+                }
             }
         }
     }
@@ -364,14 +355,13 @@ mod tests {
     #[test]
     fn sequential_scales_to_16384_ranks() {
         // Far beyond what one-thread-per-rank can do on a default OS
-        // configuration: no threads are spawned at all.
+        // configuration, on a single worker thread.
         let p = 16384usize;
-        let report =
-            run(RunConfig::new(p).with_backend(Backend::Sequential), |mut ctx| async move {
-                ctx.compute(1.0e6 * ((ctx.rank() % 3 + 1) as f64));
-                ctx.barrier().await;
-                ctx.mark_iteration(0);
-            });
+        let report = run(RunConfig::new(p).with_workers(1), |mut ctx| async move {
+            ctx.compute(1.0e6 * ((ctx.rank() % 3 + 1) as f64));
+            ctx.barrier().await;
+            ctx.mark_iteration(0);
+        });
         assert_eq!(report.rank_metrics.len(), p);
         assert_eq!(report.iterations.len(), 1);
         assert!((report.makespan().as_secs() - 3.0e-3).abs() < 1e-3);
@@ -380,7 +370,7 @@ mod tests {
     #[test]
     fn sequential_collectives_at_4096_ranks() {
         let p = 4096usize;
-        run(RunConfig::new(p).with_backend(Backend::Sequential), move |mut ctx| async move {
+        run(RunConfig::new(p).with_workers(1), move |mut ctx| async move {
             let sum = ctx.allreduce_sum(1.0).await;
             assert_eq!(sum, p as f64);
             let here = ctx.allgather(ctx.rank() as u32, 4).await;
@@ -391,7 +381,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "permanently blocked")]
     fn sequential_detects_deadlock() {
-        run(RunConfig::new(2).with_backend(Backend::Sequential), |mut ctx| async move {
+        run(RunConfig::new(2).with_workers(1), |mut ctx| async move {
             if ctx.rank() == 0 {
                 // Waits for a message nobody ever sends.
                 let _: u8 = ctx.recv(1, 42).await;
@@ -399,20 +389,17 @@ mod tests {
         });
     }
 
-    /// The satellite regression: a mismatched collective (one rank never
-    /// joins the barrier) must surface as a structured
-    /// [`RunError::Deadlock`] through [`try_run`] naming the stuck ranks —
-    /// on both deadlock-detecting backends, which share one reporting
-    /// path, and for every hub shard count (the blocked set must not
-    /// depend on how the rendezvous is sharded).
+    /// A mismatched collective (one rank never joins the barrier) must
+    /// surface as a structured [`RunError::Deadlock`] through [`try_run`]
+    /// naming the stuck ranks — for every worker count and every hub
+    /// shard count (the blocked set must not depend on how the rendezvous
+    /// is sharded).
     #[test]
     fn try_run_reports_deadlock_on_mismatched_collective() {
-        for backend in [Backend::Sequential, Backend::Parallel] {
+        for workers in [1usize, 2] {
             for hub_shards in [1usize, 2, 4] {
-                let config = RunConfig::new(4)
-                    .with_backend(backend)
-                    .with_workers(2)
-                    .with_hub_shards(hub_shards);
+                let at = format!("workers={workers} S={hub_shards}");
+                let config = RunConfig::new(4).with_workers(workers).with_hub_shards(hub_shards);
                 let result = try_run(config, |mut ctx| async move {
                     if ctx.rank() != 0 {
                         // Rank 0 never joins: the barrier can never complete.
@@ -421,9 +408,9 @@ mod tests {
                 });
                 match result {
                     Err(RunError::Deadlock { job, blocked, ranks, shards }) => {
-                        assert!(job > 0, "{backend} S={hub_shards}: jobs start at id 1");
-                        assert_eq!(ranks, 4, "{backend} S={hub_shards}");
-                        assert_eq!(blocked, vec![1, 2, 3], "{backend} S={hub_shards}");
+                        assert!(job > 0, "{at}: jobs start at id 1");
+                        assert_eq!(ranks, 4, "{at}");
+                        assert_eq!(blocked, vec![1, 2, 3], "{at}");
                         // Ranks 1–3 span ceil(3 / width) shards of width
                         // ceil(4 / S): all of them except rank 0's when
                         // the shards are single-rank.
@@ -433,25 +420,41 @@ mod tests {
                             s.dedup();
                             s
                         };
-                        assert_eq!(shards, expect, "{backend} S={hub_shards}");
+                        assert_eq!(shards, expect, "{at}");
                     }
-                    other => panic!("{backend} S={hub_shards}: expected a deadlock, got {other:?}"),
+                    other => panic!("{at}: expected a deadlock, got {other:?}"),
                 }
             }
+        }
+    }
+
+    /// The default configuration (the global pool, no environment) must
+    /// report a deadlock too — not hang, as a thread-per-rank executor
+    /// would.
+    #[test]
+    fn try_run_defaults_report_deadlock() {
+        let result = try_run(RunConfig::defaults(4), |mut ctx| async move {
+            if ctx.rank() != 0 {
+                ctx.barrier().await;
+            }
+        });
+        match result {
+            Err(RunError::Deadlock { blocked, ranks, .. }) => {
+                assert_eq!(ranks, 4);
+                assert_eq!(blocked, vec![1, 2, 3]);
+            }
+            other => panic!("expected a deadlock, got {other:?}"),
         }
     }
 
     #[test]
     #[should_panic(expected = "permanently blocked")]
     fn parallel_detects_deadlock() {
-        run(
-            RunConfig::new(2).with_backend(Backend::Parallel).with_workers(2),
-            |mut ctx| async move {
-                if ctx.rank() == 0 {
-                    let _: u8 = ctx.recv(1, 42).await;
-                }
-            },
-        );
+        run(RunConfig::new(2).with_workers(2), |mut ctx| async move {
+            if ctx.rank() == 0 {
+                let _: u8 = ctx.recv(1, 42).await;
+            }
+        });
     }
 
     #[test]
@@ -459,21 +462,18 @@ mod tests {
         // More ranks than any sane thread-per-rank setup, driven by a small
         // worker pool (explicit count: the test machine may have one core).
         let p = 4096usize;
-        let report = run(
-            RunConfig::new(p).with_backend(Backend::Parallel).with_workers(4),
-            move |mut ctx| async move {
-                let sum = ctx.allreduce_sum(1.0).await;
-                assert_eq!(sum, p as f64);
-                ctx.compute(1.0e6 * ((ctx.rank() % 3 + 1) as f64));
-                let next = (ctx.rank() + 1) % ctx.size();
-                let prev = (ctx.rank() + ctx.size() - 1) % ctx.size();
-                ctx.send(next, 9, ctx.rank() as u32, 16);
-                let got: u32 = ctx.recv(prev, 9).await;
-                assert_eq!(got as usize, prev);
-                ctx.barrier().await;
-                ctx.mark_iteration(0);
-            },
-        );
+        let report = run(RunConfig::new(p).with_workers(4), move |mut ctx| async move {
+            let sum = ctx.allreduce_sum(1.0).await;
+            assert_eq!(sum, p as f64);
+            ctx.compute(1.0e6 * ((ctx.rank() % 3 + 1) as f64));
+            let next = (ctx.rank() + 1) % ctx.size();
+            let prev = (ctx.rank() + ctx.size() - 1) % ctx.size();
+            ctx.send(next, 9, ctx.rank() as u32, 16);
+            let got: u32 = ctx.recv(prev, 9).await;
+            assert_eq!(got as usize, prev);
+            ctx.barrier().await;
+            ctx.mark_iteration(0);
+        });
         assert_eq!(report.rank_metrics.len(), p);
         assert_eq!(report.iterations.len(), 1);
     }
@@ -481,70 +481,30 @@ mod tests {
     #[test]
     #[should_panic(expected = "pool boom")]
     fn parallel_rank_panic_propagates() {
-        run(RunConfig::new(8).with_backend(Backend::Parallel).with_workers(2), |ctx| {
-            async move {
-                if ctx.rank() == 5 {
-                    panic!("pool boom");
-                }
-                // Other ranks perform no blocking ops, so they finish.
+        run(RunConfig::new(8).with_workers(2), |ctx| async move {
+            if ctx.rank() == 5 {
+                panic!("pool boom");
             }
+            // Other ranks perform no blocking ops, so they finish.
         });
-    }
-
-    #[test]
-    fn thread_spawn_failure_returns_structured_error() {
-        // A stack size no OS can map: spawning must fail before any rank
-        // body runs.
-        let config = RunConfig::new(2).with_backend(Backend::Threaded).with_stack_size(1 << 50);
-        match try_run(config, |mut ctx| async move { ctx.barrier().await }) {
-            Err(RunError::ThreadSpawn { rank, ranks, .. }) => {
-                assert_eq!(rank, 0);
-                assert_eq!(ranks, 2);
-            }
-            other => panic!("a 1 PiB stack must not be spawnable, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn run_falls_back_to_sequential_on_spawn_failure() {
-        let config = RunConfig::new(4).with_backend(Backend::Threaded).with_stack_size(1 << 50);
-        let report = run(config, |mut ctx| async move {
-            ctx.compute(1.0e9);
-            ctx.barrier().await;
-        });
-        assert_eq!(report.rank_metrics.len(), 4);
-        assert!((report.makespan().as_secs() - 1.0).abs() < 1e-3);
     }
 
     #[test]
     fn hub_shard_resolution() {
         // Explicit counts win and are clamped to [1, ranks].
-        let cfg = RunConfig::new(16).with_backend(Backend::Parallel);
+        let cfg = RunConfig::new(16);
         assert_eq!(cfg.clone().with_hub_shards(4).effective_hub_shards(), 4);
         assert_eq!(cfg.clone().with_hub_shards(64).effective_hub_shards(), 16);
         assert_eq!(cfg.clone().with_hub_shards(1).effective_hub_shards(), 1);
-        // Automatic: the sequential scheduler keeps one shard; parallel
-        // shards by worker count, capped at 64 and at the rank count.
-        let seq = RunConfig::new(16).with_backend(Backend::Sequential).with_hub_shards(0);
-        assert_eq!(seq.effective_hub_shards(), 1);
-        let par = RunConfig::new(512).with_backend(Backend::Parallel).with_workers(3);
+        // Automatic: one shard per worker, capped at 64 and at the rank
+        // count.
+        let par = RunConfig::new(512).with_workers(3);
         assert_eq!(par.clone().with_hub_shards(0).effective_hub_shards(), 3);
+        let one = RunConfig::new(512).with_workers(1).with_hub_shards(0);
+        assert_eq!(one.effective_hub_shards(), 1, "a one-worker pool keeps a single shard");
         let wide = par.with_workers(200).with_hub_shards(0);
         assert_eq!(wide.effective_hub_shards(), 64, "auto sharding caps at 64");
-        let tiny = RunConfig::new(2).with_backend(Backend::Parallel).with_workers(200);
+        let tiny = RunConfig::new(2).with_workers(200);
         assert!(tiny.with_hub_shards(0).effective_hub_shards() <= 2);
-    }
-
-    #[test]
-    fn backend_parsing() {
-        assert_eq!("sequential".parse(), Ok(Backend::Sequential));
-        assert_eq!("SEQ".parse(), Ok(Backend::Sequential));
-        assert_eq!("threaded".parse(), Ok(Backend::Threaded));
-        assert_eq!("Threads".parse(), Ok(Backend::Threaded));
-        assert_eq!("parallel".parse(), Ok(Backend::Parallel));
-        assert_eq!("Pool".parse(), Ok(Backend::Parallel));
-        assert_eq!("fibers".parse::<Backend>(), Err(()));
-        assert_eq!(Backend::Sequential.to_string(), "sequential");
-        assert_eq!(Backend::Parallel.to_string(), "parallel");
     }
 }

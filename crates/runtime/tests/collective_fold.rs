@@ -1,18 +1,22 @@
 //! Reduce-once collectives: `allreduce` and `allgather_fold` compute each
 //! round's reduction once, in rank order, and hand every rank the same
-//! result — on every backend and for every hub shard count.
+//! result — for every worker count and every hub shard count.
 
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use ulba_runtime::{run, Backend, RunConfig};
+use ulba_runtime::{run, RunConfig};
 
-const BACKENDS: [Backend; 3] = [Backend::Parallel, Backend::Sequential, Backend::Threaded];
-const SHARDS: [usize; 4] = [1, 2, 3, 7];
+const WORKERS: [usize; 3] = [1, 2, 3];
 
-fn config(ranks: usize, backend: Backend, shards: usize) -> RunConfig {
-    RunConfig::new(ranks).with_backend(backend).with_workers(2).with_hub_shards(shards)
+/// Hub shard counts: single, even split, ragged, and one rank per shard.
+fn shards(ranks: usize) -> [usize; 4] {
+    [1, 2, 7, ranks]
+}
+
+fn config(ranks: usize, workers: usize, shards: usize) -> RunConfig {
+    RunConfig::new(ranks).with_workers(workers).with_hub_shards(shards)
 }
 
 /// Per-rank summands whose `f64` sum depends on the association order:
@@ -27,11 +31,11 @@ fn allreduce_is_the_rank_order_left_fold_everywhere() {
     assert_ne!(left, reversed, "summands must discriminate association orders");
     assert_ne!(left, by_shard, "summands must discriminate per-shard partial sums");
 
-    for backend in BACKENDS {
-        for shards in SHARDS {
+    for workers in WORKERS {
+        for shards in shards(CANCELLING.len()) {
             let seen = Arc::new(Mutex::new(Vec::new()));
             let sink = Arc::clone(&seen);
-            run(config(CANCELLING.len(), backend, shards), move |mut ctx| {
+            run(config(CANCELLING.len(), workers, shards), move |mut ctx| {
                 let sink = Arc::clone(&sink);
                 async move {
                     let sum = ctx.allreduce_sum(CANCELLING[ctx.rank()]).await;
@@ -41,7 +45,7 @@ fn allreduce_is_the_rank_order_left_fold_everywhere() {
             let seen = seen.lock();
             assert_eq!(seen.len(), CANCELLING.len());
             for &bits in seen.iter() {
-                assert_eq!(bits, left.to_bits(), "{backend:?}, S = {shards}");
+                assert_eq!(bits, left.to_bits(), "workers = {workers}, S = {shards}");
             }
         }
     }
@@ -51,12 +55,12 @@ fn allreduce_is_the_rank_order_left_fold_everywhere() {
 fn allgather_fold_runs_once_per_round_and_shares_its_result() {
     const RANKS: usize = 13;
     const ROUNDS: u64 = 5;
-    for backend in BACKENDS {
-        for shards in SHARDS {
+    for workers in WORKERS {
+        for shards in shards(RANKS) {
             let folds = Arc::new(AtomicUsize::new(0));
             let seen = Arc::new(Mutex::new(Vec::new()));
             let (fold_count, sink) = (Arc::clone(&folds), Arc::clone(&seen));
-            run(config(RANKS, backend, shards), move |mut ctx| {
+            run(config(RANKS, workers, shards), move |mut ctx| {
                 let (folds, sink) = (Arc::clone(&fold_count), Arc::clone(&sink));
                 async move {
                     for round in 0..ROUNDS {
@@ -71,7 +75,7 @@ fn allgather_fold_runs_once_per_round_and_shares_its_result() {
                     }
                 }
             });
-            let label = format!("{backend:?}, S = {shards}");
+            let label = format!("workers = {workers}, S = {shards}");
             assert_eq!(folds.load(Ordering::SeqCst), ROUNDS as usize, "{label}");
             let seen = seen.lock();
             assert_eq!(seen.len(), RANKS * ROUNDS as usize, "{label}");
@@ -85,11 +89,11 @@ fn allgather_fold_runs_once_per_round_and_shares_its_result() {
 
 #[test]
 fn result_type_mismatch_names_the_op_and_the_job() {
-    for backend in BACKENDS {
+    for workers in WORKERS {
         let job = Arc::new(AtomicU64::new(0));
         let job_id = Arc::clone(&job);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run(config(4, backend, 2), move |mut ctx| {
+            run(config(4, workers, 2), move |mut ctx| {
                 let job_id = Arc::clone(&job_id);
                 async move {
                     job_id.store(ctx.job(), Ordering::SeqCst);
@@ -109,8 +113,8 @@ fn result_type_mismatch_names_the_op_and_the_job() {
             .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
             .unwrap_or_default();
         let job = job.load(Ordering::SeqCst);
-        assert!(message.contains("collective `allgather`"), "{backend:?}: {message}");
-        assert!(message.contains("result type mismatch"), "{backend:?}: {message}");
-        assert!(message.contains(&format!("[job #{job}]")), "{backend:?}: {message}");
+        assert!(message.contains("collective `allgather`"), "workers = {workers}: {message}");
+        assert!(message.contains("result type mismatch"), "workers = {workers}: {message}");
+        assert!(message.contains(&format!("[job #{job}]")), "workers = {workers}: {message}");
     }
 }

@@ -3,14 +3,18 @@
 //! The hub shard count is a pure contention knob: for **any** `S` —
 //! degenerate (`S = 1`, the old single-mutex hub), even, ragged
 //! (`S` not dividing `P`, so the last shard holds fewer ranks), or fully
-//! sharded (`S = P`) — and **any** execution backend, a program's
+//! sharded (`S = P`) — and **any** worker count, a program's
 //! [`RunReport`] must be bit-identical. These tests are the proof the
 //! sharded hub ships with: randomized programs and topologies across the
-//! full `S × backend` matrix, plus deadlock reporting when the stuck ranks
+//! full `S × workers` matrix, plus deadlock reporting when the stuck ranks
 //! span several shards.
 
 use proptest::prelude::*;
-use ulba_runtime::{run, try_run, Backend, RunConfig, RunError, RunReport, SpmdCtx};
+use ulba_runtime::{run, try_run, RunConfig, RunError, RunReport, SpmdCtx};
+
+/// Worker counts every equivalence case sweeps: the serial one-worker
+/// pool and two multi-worker pools.
+const WORKERS: [usize; 3] = [1, 2, 3];
 
 /// Shard counts every equivalence case sweeps: degenerate, small, a prime
 /// that leaves the last shard ragged for most `P`, and one-rank-per-shard.
@@ -52,14 +56,12 @@ async fn mixed_body(mut ctx: SpmdCtx, rounds: u64, flops_scale: f64) {
 
 fn report_for(
     ranks: usize,
-    backend: Backend,
     shards: usize,
     workers: usize,
     rounds: u64,
     flops_scale: f64,
 ) -> RunReport {
-    let config =
-        RunConfig::new(ranks).with_backend(backend).with_workers(workers).with_hub_shards(shards);
+    let config = RunConfig::new(ranks).with_workers(workers).with_hub_shards(shards);
     run(config, move |ctx| mixed_body(ctx, rounds, flops_scale))
 }
 
@@ -85,29 +87,28 @@ fn assert_reports_identical(reference: &RunReport, other: &RunReport, label: &st
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Randomized (P, S, workers, program): the single-shard threaded
-    /// report is the reference; every shard count of the sweep and every
-    /// backend must reproduce it bit-identically. `ranks` is drawn from a
+    /// Randomized (P, S, program): the single-shard, single-worker report
+    /// is the reference; every shard count of the sweep on every worker
+    /// count must reproduce it bit-identically. `ranks` is drawn from a
     /// range full of non-powers-of-two, so the `S = 7` leg regularly
     /// leaves a ragged last shard.
     #[test]
     fn reports_identical_across_shards_and_backends(
         ranks in 2usize..20,
-        workers in 1usize..5,
         rounds in 1u64..5,
         flops_scale in 1.0e5f64..1.0e8,
         extra_shards in 1usize..32,
     ) {
-        let reference = report_for(ranks, Backend::Threaded, 1, workers, rounds, flops_scale);
+        let reference = report_for(ranks, 1, 1, rounds, flops_scale);
         let mut sweep = shard_sweep(ranks);
         sweep.push(extra_shards); // an arbitrary count on top of the fixed sweep
-        for backend in [Backend::Threaded, Backend::Sequential, Backend::Parallel] {
+        for workers in WORKERS {
             for &shards in &sweep {
-                let other = report_for(ranks, backend, shards, workers, rounds, flops_scale);
+                let other = report_for(ranks, shards, workers, rounds, flops_scale);
                 assert_reports_identical(
                     &reference,
                     &other,
-                    &format!("P={ranks} {backend} S={shards} workers={workers}"),
+                    &format!("P={ranks} S={shards} workers={workers}"),
                 );
             }
         }
@@ -166,23 +167,19 @@ proptest! {
 
     /// Randomized chunked-vs-monolithic payload equivalence: `ranks` drawn
     /// from a non-power-of-two-rich range (the `S = 7` leg regularly
-    /// leaves a ragged last shard) across all three backends. The body
+    /// leaves a ragged last shard) on every worker count. The body
     /// asserts exact payloads internally; any failure panics the run.
     #[test]
     fn collective_payloads_survive_chunked_assembly(
         ranks in 2usize..24,
-        workers in 1usize..4,
         rounds in 2u64..5,
         extra_shards in 1usize..32,
     ) {
         let mut sweep = shard_sweep(ranks);
         sweep.push(extra_shards);
-        for backend in [Backend::Threaded, Backend::Sequential, Backend::Parallel] {
+        for workers in WORKERS {
             for &shards in &sweep {
-                let config = RunConfig::new(ranks)
-                    .with_backend(backend)
-                    .with_workers(workers)
-                    .with_hub_shards(shards);
+                let config = RunConfig::new(ranks).with_workers(workers).with_hub_shards(shards);
                 run(config, move |ctx| payload_body(ctx, rounds));
             }
         }
@@ -190,15 +187,16 @@ proptest! {
 }
 
 /// The acceptance-criterion scale: `P = 128` across the full
-/// `S ∈ {1, 2, 7, 128} × backend` matrix (7 leaves a ragged last shard:
+/// `S ∈ {1, 2, 7, 128} × workers` matrix (7 leaves a ragged last shard:
 /// 128 = 6·19 + 14).
 #[test]
 fn identical_at_128_ranks_all_shard_counts() {
-    let reference = report_for(128, Backend::Threaded, 1, 3, 3, 2.0e6);
-    for backend in [Backend::Threaded, Backend::Sequential, Backend::Parallel] {
+    let reference = report_for(128, 1, 1, 3, 2.0e6);
+    for workers in WORKERS {
         for shards in shard_sweep(128) {
-            let other = report_for(128, backend, shards, 3, 3, 2.0e6);
-            assert_reports_identical(&reference, &other, &format!("P=128 {backend} S={shards}"));
+            let other = report_for(128, shards, workers, 3, 2.0e6);
+            let label = format!("P=128 workers={workers} S={shards}");
+            assert_reports_identical(&reference, &other, &label);
         }
     }
 }
@@ -208,11 +206,12 @@ fn identical_at_128_ranks_all_shard_counts() {
 /// like the full ones.
 #[test]
 fn identical_at_ragged_97_ranks() {
-    let reference = report_for(97, Backend::Sequential, 1, 2, 2, 5.0e5);
-    for backend in [Backend::Threaded, Backend::Sequential, Backend::Parallel] {
+    let reference = report_for(97, 1, 1, 2, 5.0e5);
+    for workers in WORKERS {
         for shards in [1usize, 2, 7, 13, 96, 97] {
-            let other = report_for(97, backend, shards, 2, 2, 5.0e5);
-            assert_reports_identical(&reference, &other, &format!("P=97 {backend} S={shards}"));
+            let other = report_for(97, shards, workers, 2, 5.0e5);
+            let label = format!("P=97 workers={workers} S={shards}");
+            assert_reports_identical(&reference, &other, &label);
         }
     }
 }
@@ -223,10 +222,10 @@ fn identical_at_ragged_97_ranks() {
 /// the shard list must cover every shard holding one.
 #[test]
 fn deadlock_report_spans_multiple_shards() {
-    for backend in [Backend::Sequential, Backend::Parallel] {
+    for workers in WORKERS {
         // P = 8 over 4 width-2 shards; every odd rank joins a barrier the
         // even ranks skip, so one rank per shard hangs.
-        let config = RunConfig::new(8).with_backend(backend).with_workers(2).with_hub_shards(4);
+        let config = RunConfig::new(8).with_workers(workers).with_hub_shards(4);
         let result = try_run(config, |mut ctx| async move {
             if ctx.rank() % 2 == 1 {
                 ctx.barrier().await;
@@ -234,11 +233,11 @@ fn deadlock_report_spans_multiple_shards() {
         });
         match result {
             Err(RunError::Deadlock { job: _, blocked, ranks, shards }) => {
-                assert_eq!(ranks, 8, "{backend}");
-                assert_eq!(blocked, vec![1, 3, 5, 7], "{backend}");
-                assert_eq!(shards, vec![0, 1, 2, 3], "{backend}: every shard holds a stuck rank");
+                assert_eq!(ranks, 8, "workers={workers}");
+                assert_eq!(blocked, vec![1, 3, 5, 7], "workers={workers}");
+                assert_eq!(shards, vec![0, 1, 2, 3], "workers={workers}: every shard is stuck");
             }
-            other => panic!("{backend}: expected a deadlock, got {other:?}"),
+            other => panic!("workers={workers}: expected a deadlock, got {other:?}"),
         }
     }
 }
@@ -247,10 +246,10 @@ fn deadlock_report_spans_multiple_shards() {
 /// those shards (the whole point of carrying shard ids at large `P`).
 #[test]
 fn deadlock_report_names_only_affected_shards() {
-    for backend in [Backend::Sequential, Backend::Parallel] {
+    for workers in WORKERS {
         // P = 12 over 4 width-3 shards; only ranks 6..9 (shards 2 and 3)
         // wait on messages nobody sends.
-        let config = RunConfig::new(12).with_backend(backend).with_workers(2).with_hub_shards(4);
+        let config = RunConfig::new(12).with_workers(workers).with_hub_shards(4);
         let result = try_run(config, |mut ctx| async move {
             if (6..=9).contains(&ctx.rank()) {
                 let _: u8 = ctx.recv((ctx.rank() + 1) % ctx.size(), 99).await;
@@ -258,11 +257,11 @@ fn deadlock_report_names_only_affected_shards() {
         });
         match result {
             Err(RunError::Deadlock { job: _, blocked, ranks, shards }) => {
-                assert_eq!(ranks, 12, "{backend}");
-                assert_eq!(blocked, vec![6, 7, 8, 9], "{backend}");
-                assert_eq!(shards, vec![2, 3], "{backend}");
+                assert_eq!(ranks, 12, "workers={workers}");
+                assert_eq!(blocked, vec![6, 7, 8, 9], "workers={workers}");
+                assert_eq!(shards, vec![2, 3], "workers={workers}");
             }
-            other => panic!("{backend}: expected a deadlock, got {other:?}"),
+            other => panic!("workers={workers}: expected a deadlock, got {other:?}"),
         }
     }
 }
@@ -273,7 +272,7 @@ fn deadlock_report_names_only_affected_shards() {
 /// carry the hub shard ids alongside the blocked ranks.
 #[test]
 fn deadlock_panic_message_names_shard_ids() {
-    let config = RunConfig::new(6).with_backend(Backend::Sequential).with_hub_shards(3);
+    let config = RunConfig::new(6).with_workers(1).with_hub_shards(3);
     let err = try_run(config, |mut ctx| async move {
         if ctx.rank() >= 4 {
             // Ranks 4 and 5 — both in shard 2 of the width-2 layout.

@@ -5,7 +5,7 @@
 //! the pool.
 
 use proptest::prelude::*;
-use ulba_runtime::{run, Backend, JobServer, Priority, RunConfig, RunError, RunReport, SpmdCtx};
+use ulba_runtime::{run, JobServer, Priority, RunConfig, RunError, RunReport, SpmdCtx};
 
 /// A BSP round mixing compute, ring p2p, and collectives, parameterized so
 /// different jobs run genuinely different programs.
@@ -23,11 +23,9 @@ async fn bsp_body(mut ctx: SpmdCtx, rounds: u64, salt: u64) {
     }
 }
 
-/// The ground truth: the same program alone, on the lockstep scheduler.
+/// The ground truth: the same program alone, on a one-worker pool.
 fn serial_reference(ranks: usize, rounds: u64, salt: u64) -> RunReport {
-    run(RunConfig::new(ranks).with_backend(Backend::Sequential), move |ctx| {
-        bsp_body(ctx, rounds, salt)
-    })
+    run(RunConfig::new(ranks).with_workers(1), move |ctx| bsp_body(ctx, rounds, salt))
 }
 
 fn assert_reports_identical(pooled: &RunReport, serial: &RunReport) {

@@ -2,7 +2,7 @@
 //! collective semantics.
 
 use proptest::prelude::*;
-use ulba_runtime::{run, Backend, MachineSpec, RunConfig, TimeKind};
+use ulba_runtime::{run, MachineSpec, RunConfig, TimeKind};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -89,26 +89,21 @@ proptest! {
         prop_assert!((report.makespan().as_secs() - expect).abs() < 1e-9 * expect);
     }
 
-    /// The threaded, sequential, and parallel backends produce bit-identical
-    /// reports for arbitrary BSP programs mixing compute, ring p2p, and
-    /// collectives (the parallel backend gets a small explicit worker count
-    /// so the property holds even on a single-core machine). The hub shard
+    /// One, two and three workers produce reports bit-identical to the
+    /// serial reference (one worker, one hub shard) for arbitrary BSP
+    /// programs mixing compute, ring p2p, and collectives. The hub shard
     /// count rides along as a free dimension: it must never show up in a
     /// report.
     #[test]
     fn backends_agree_on_random_programs(
         flops in proptest::collection::vec(1.0e5f64..1.0e9, 2..10),
         rounds in 1u64..5,
-        workers in 1usize..5,
         hub_shards in 1usize..9,
     ) {
         let ranks = flops.len();
-        let go = |backend: Backend| {
+        let go = |workers: usize, hub_shards: usize| {
             let flops_ref = flops.clone();
-            let config = RunConfig::new(ranks)
-                .with_backend(backend)
-                .with_workers(workers)
-                .with_hub_shards(hub_shards);
+            let config = RunConfig::new(ranks).with_workers(workers).with_hub_shards(hub_shards);
             run(config, move |mut ctx| {
                 let flops = flops_ref.clone();
                 async move {
@@ -125,17 +120,17 @@ proptest! {
                 }
             })
         };
-        let threaded = go(Backend::Threaded);
-        for backend in [Backend::Sequential, Backend::Parallel] {
-            let other = go(backend);
-            prop_assert_eq!(&threaded.rank_metrics, &other.rank_metrics);
-            prop_assert_eq!(&threaded.final_clocks, &other.final_clocks);
+        let reference = go(1, 1);
+        for workers in [1usize, 2, 3] {
+            let other = go(workers, hub_shards);
+            prop_assert_eq!(&reference.rank_metrics, &other.rank_metrics);
+            prop_assert_eq!(&reference.final_clocks, &other.final_clocks);
             prop_assert_eq!(
-                threaded.makespan().as_secs().to_bits(),
+                reference.makespan().as_secs().to_bits(),
                 other.makespan().as_secs().to_bits()
             );
-            prop_assert_eq!(threaded.iterations.len(), other.iterations.len());
-            for (a, b) in threaded.iterations.iter().zip(&other.iterations) {
+            prop_assert_eq!(reference.iterations.len(), other.iterations.len());
+            for (a, b) in reference.iterations.iter().zip(&other.iterations) {
                 prop_assert_eq!(a.wall_time.to_bits(), b.wall_time.to_bits());
                 prop_assert_eq!(a.mean_utilization.to_bits(), b.mean_utilization.to_bits());
             }

@@ -35,8 +35,8 @@ use ulba_core::policy::{estimate_ulba_overhead, outlier_score};
 use ulba_core::trigger::{AnyTrigger, LbTrigger};
 use ulba_core::wir::WirEstimator;
 use ulba_runtime::{
-    run, Backend, IterationStats, JobHandle, JobServer, MachineSpec, RankMetrics, RunConfig,
-    RunReport, SpmdCtx, Tag,
+    run, IterationStats, JobHandle, JobServer, MachineSpec, RankMetrics, RunConfig, RunReport,
+    SpmdCtx, Tag,
 };
 
 /// Message tag of gossip snapshots (distinct from the erosion app's).
@@ -72,8 +72,8 @@ pub struct ScenarioResult {
     /// (work conservation; asserted by the run).
     pub total_work_units: u64,
     /// Order-independent checksum over every delivered traffic payload
-    /// word (0 for non-task-graph scenarios). Bit-identical across
-    /// backends and hub-shard counts.
+    /// word (0 for non-task-graph scenarios). Bit-identical across worker
+    /// counts and hub-shard counts.
     pub traffic_checksum: u64,
     /// The λ = max/mean the generator was asked for.
     pub lambda_target: f64,
@@ -186,7 +186,7 @@ async fn rank_program(
             db.merge(&snap);
         }
         // Wrapping sums are commutative: the checksum is independent of
-        // arrival order, hence bit-identical across backends.
+        // arrival order, hence bit-identical across worker counts.
         for (_, payload) in ctx.drain::<Vec<u64>>(TRAFFIC_TAG) {
             for word in payload {
                 traffic_checksum = traffic_checksum.wrapping_add(word);
@@ -296,19 +296,12 @@ fn prepare(cfg: &ScenarioConfig) -> PreparedRun {
     let mut cfg = cfg.clone();
     let server = cfg.server.take();
     let mut run_cfg = RunConfig::new(cfg.ranks).with_spec(spec);
-    if let Some(backend) = cfg.backend {
-        run_cfg = run_cfg.with_backend(backend);
-    }
-    if let Some(stack_size) = cfg.stack_size {
-        run_cfg = run_cfg.with_stack_size(stack_size);
-    }
     if let Some(workers) = cfg.workers {
         run_cfg = run_cfg.with_workers(workers);
     }
     if let Some(hub_shards) = cfg.hub_shards {
         run_cfg = run_cfg.with_hub_shards(hub_shards);
     }
-    // Applied last: a server target forces the parallel backend.
     if let Some(server) = server {
         run_cfg = run_cfg.with_server(server);
     }
@@ -356,81 +349,44 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
     assemble(report, &prepared.side, prepared.hub_shards, prepared.lambda)
 }
 
-/// A submitted (or deferred) scenario experiment; see [`submit_scenario`].
+/// A submitted scenario experiment; see [`submit_scenario`].
 pub struct ScenarioJob {
-    inner: ScenarioJobInner,
-}
-
-enum ScenarioJobInner {
-    /// Running concurrently on a shared [`JobServer`].
-    Submitted { handle: JobHandle, side: Arc<SideChannels>, hub_shards: usize, lambda: (f64, f64) },
-    /// The config resolves to a non-parallel backend: the run executes
-    /// with that backend's semantics, serially, inside [`ScenarioJob::join`].
-    Deferred(Box<ScenarioConfig>),
+    handle: JobHandle,
+    side: Arc<SideChannels>,
+    hub_shards: usize,
+    lambda: (f64, f64),
 }
 
 impl std::fmt::Debug for ScenarioJob {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.inner {
-            ScenarioJobInner::Submitted { handle, .. } => {
-                f.debug_struct("ScenarioJob").field("job", &handle.id()).finish()
-            }
-            ScenarioJobInner::Deferred(_) => {
-                f.debug_struct("ScenarioJob").field("job", &"deferred").finish()
-            }
-        }
+        f.debug_struct("ScenarioJob").field("job", &self.id()).finish()
     }
 }
 
 impl ScenarioJob {
-    /// The runtime job id when the experiment runs on a server (`None` for
-    /// deferred serial runs).
-    pub fn id(&self) -> Option<u64> {
-        match &self.inner {
-            ScenarioJobInner::Submitted { handle, .. } => Some(handle.id()),
-            ScenarioJobInner::Deferred(_) => None,
-        }
+    /// The runtime job id of the experiment.
+    pub fn id(&self) -> u64 {
+        self.handle.id()
     }
 
     /// Block until the experiment finishes and collect its measurements.
     pub fn join(self) -> ScenarioResult {
-        match self.inner {
-            ScenarioJobInner::Submitted { handle, side, hub_shards, lambda } => {
-                let report = handle.join().unwrap_or_else(|err| panic!("{err}"));
-                assemble(report, &side, hub_shards, lambda)
-            }
-            ScenarioJobInner::Deferred(cfg) => run_scenario(&cfg),
-        }
+        let report = self.handle.join().unwrap_or_else(|err| panic!("{err}"));
+        assemble(report, &self.side, self.hub_shards, self.lambda)
     }
 }
 
-/// Submit one experiment to `server` without waiting for it.
-///
-/// Same deferral contract as the erosion app's `submit_erosion`: when the
-/// config resolves to a non-parallel backend (explicitly or via
-/// `ULBA_BACKEND`), the run executes serially with that backend's
-/// semantics at join time. Either way the measurements are bit-identical.
+/// Submit one experiment to `server` without waiting for it. The
+/// measurements are bit-identical to a serial [`run_scenario`] of the same
+/// config.
 pub fn submit_scenario(server: &JobServer, cfg: &ScenarioConfig) -> ScenarioJob {
-    let effective = cfg.backend.unwrap_or_else(|| {
-        RunConfig::defaults(1).with_backend(Backend::Parallel).from_env().backend
-    });
-    if effective != Backend::Parallel {
-        let mut cfg = cfg.clone();
-        cfg.server = None;
-        return ScenarioJob { inner: ScenarioJobInner::Deferred(Box::new(cfg)) };
-    }
-    let mut cfg = cfg.clone();
-    cfg.backend = Some(Backend::Parallel);
-    cfg.server = Some(server.clone());
-    let prepared = prepare(&cfg);
+    let prepared = prepare(cfg);
     let handle = server.submit(prepared.run_cfg, prepared.body);
     ScenarioJob {
-        inner: ScenarioJobInner::Submitted {
-            handle,
-            side: prepared.side,
-            hub_shards: prepared.hub_shards,
-            lambda: prepared.lambda,
-        },
+        handle,
+        side: prepared.side,
+        hub_shards: prepared.hub_shards,
+        lambda: prepared.lambda,
     }
 }
 
@@ -543,18 +499,6 @@ mod tests {
             assert_eq!(batched.lb_iterations, serial.lb_iterations);
             assert_eq!(batched.traffic_checksum, serial.traffic_checksum);
         }
-    }
-
-    #[test]
-    fn explicit_backend_defers_instead_of_pooling() {
-        let server = JobServer::new(1);
-        let mut cfg = ScenarioConfig::tiny(ScenarioKind::Scatter, 2);
-        cfg.iterations = 8;
-        cfg.backend = Some(Backend::Sequential);
-        let job = submit_scenario(&server, &cfg);
-        assert_eq!(job.id(), None, "sequential runs must not be pooled");
-        let res = job.join();
-        assert_eq!(run_scenario(&cfg).makespan.to_bits(), res.makespan.to_bits());
     }
 
     #[test]

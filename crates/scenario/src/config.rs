@@ -4,7 +4,7 @@ use crate::generator::{ScenarioKind, MIN_AVG_UNITS};
 use serde::{Deserialize, Serialize};
 use ulba_core::gossip::{GossipMode, GossipWire};
 use ulba_core::policy::LbPolicy;
-use ulba_runtime::{Backend, JobServer};
+use ulba_runtime::JobServer;
 
 pub use ulba_core::trigger::TriggerKind;
 
@@ -62,17 +62,13 @@ pub struct ScenarioConfig {
     pub lb_fixed_cost_factor: f64,
     /// PE speed ω in FLOP/s.
     pub omega: f64,
-    /// Execution backend (`None` = runtime default / `ULBA_BACKEND`).
-    pub backend: Option<Backend>,
-    /// Per-rank stack size for the threaded backend (`None` = default).
-    pub stack_size: Option<usize>,
-    /// Worker threads of the parallel backend (`None` = default).
+    /// Worker threads of the pool the run stands up (`None` = runtime
+    /// default; ignored when [`ScenarioConfig::server`] is set).
     pub workers: Option<usize>,
     /// Leaf shard count of the rendezvous hub (`None` = runtime default).
     /// Purely a contention knob — results are bit-identical for any value.
     pub hub_shards: Option<usize>,
-    /// Submit the run to this existing [`JobServer`] (forces the parallel
-    /// backend). Not serialized — a live handle, not a parameter.
+    /// Submit the run to this existing [`JobServer`]. Not serialized — a live handle, not a parameter.
     #[serde(skip)]
     pub server: Option<JobServer>,
 }
@@ -105,8 +101,6 @@ impl ScenarioConfig {
             initial_lb_cost_factor: 1.0,
             lb_fixed_cost_factor: 2.0,
             omega: 1.0e9,
-            backend: None,
-            stack_size: None,
             workers: None,
             hub_shards: None,
             server: None,
@@ -119,8 +113,7 @@ impl ScenarioConfig {
         Self { iterations: 32, phases: 4, avg_units_per_rank: 256, ..Self::new(kind, ranks) }
     }
 
-    /// Route this experiment to an existing shared [`JobServer`] (implies
-    /// the parallel backend); see [`crate::app::run_scenario_batch`].
+    /// Route this experiment to an existing shared [`JobServer`]; see [`crate::app::run_scenario_batch`].
     pub fn with_server(mut self, server: JobServer) -> Self {
         self.server = Some(server);
         self
@@ -170,9 +163,6 @@ impl ScenarioConfig {
         }
         if self.initial_lb_cost_factor < 0.0 || self.lb_fixed_cost_factor < 0.0 {
             return Err("LB cost factors must be non-negative".into());
-        }
-        if self.stack_size == Some(0) {
-            return Err("stack_size must be positive when set".into());
         }
         if self.workers == Some(0) {
             return Err("workers must be positive when set (None = all cores)".into());

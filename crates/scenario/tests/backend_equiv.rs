@@ -1,93 +1,92 @@
-//! Cross-backend equivalence for the scenario application — the
-//! acceptance criterion: per-scenario results are bit-identical across the
-//! threaded, sequential, and parallel backends and across hub-shard
-//! counts, for every scenario family, policy, and gossip wire format.
+//! Worker-count equivalence for the scenario application — the
+//! acceptance criterion: per-scenario results are bit-identical on one,
+//! two and three workers and across hub-shard counts, for every scenario
+//! family, policy, and gossip wire format.
 
 use proptest::prelude::*;
 use ulba_core::gossip::GossipWire;
 use ulba_core::policy::LbPolicy;
-use ulba_runtime::Backend;
 use ulba_scenario::{run_scenario, ScenarioConfig, ScenarioKind, ScenarioResult};
 
-/// Run `cfg` on the given backend (explicit small worker count for the
-/// parallel backend, so the test is meaningful on a single-core machine).
-fn on_backend(cfg: &ScenarioConfig, backend: Backend) -> ScenarioResult {
+/// Worker counts of the equivalence sweeps (explicit, so the multi-worker
+/// legs are meaningful on a single-core machine too).
+const WORKERS: [usize; 3] = [1, 2, 3];
+
+/// Run `cfg` on a private pool of `workers` threads.
+fn on_workers(cfg: &ScenarioConfig, workers: usize) -> ScenarioResult {
     let mut cfg = cfg.clone();
-    cfg.backend = Some(backend);
-    if backend == Backend::Parallel {
-        cfg.workers = Some(3);
-    }
+    cfg.workers = Some(workers);
     run_scenario(&cfg)
 }
 
 /// Assert two scenario results are identical down to the last f64 bit.
-fn assert_bit_identical(reference: &ScenarioResult, other: &ScenarioResult, backend: Backend) {
+fn assert_bit_identical(reference: &ScenarioResult, other: &ScenarioResult, label: &str) {
     assert_eq!(
         reference.makespan.to_bits(),
         other.makespan.to_bits(),
-        "{backend}: makespan diverged: {} vs {}",
+        "{label}: makespan diverged: {} vs {}",
         reference.makespan,
         other.makespan
     );
-    assert_eq!(reference.lb_calls, other.lb_calls, "{backend}");
-    assert_eq!(reference.lb_iterations, other.lb_iterations, "{backend}");
-    assert_eq!(reference.mean_utilization.to_bits(), other.mean_utilization.to_bits(), "{backend}");
-    assert_eq!(reference.total_work_units, other.total_work_units, "{backend}");
-    assert_eq!(reference.traffic_checksum, other.traffic_checksum, "{backend}");
-    assert_eq!(reference.db_entries_total, other.db_entries_total, "{backend}");
-    assert_eq!(reference.gossip_watermarks_total, other.gossip_watermarks_total, "{backend}");
-    assert_eq!(reference.lambda_achieved.to_bits(), other.lambda_achieved.to_bits(), "{backend}");
-    assert_eq!(reference.rank_metrics.len(), other.rank_metrics.len(), "{backend}");
+    assert_eq!(reference.lb_calls, other.lb_calls, "{label}");
+    assert_eq!(reference.lb_iterations, other.lb_iterations, "{label}");
+    assert_eq!(reference.mean_utilization.to_bits(), other.mean_utilization.to_bits(), "{label}");
+    assert_eq!(reference.total_work_units, other.total_work_units, "{label}");
+    assert_eq!(reference.traffic_checksum, other.traffic_checksum, "{label}");
+    assert_eq!(reference.db_entries_total, other.db_entries_total, "{label}");
+    assert_eq!(reference.gossip_watermarks_total, other.gossip_watermarks_total, "{label}");
+    assert_eq!(reference.lambda_achieved.to_bits(), other.lambda_achieved.to_bits(), "{label}");
+    assert_eq!(reference.rank_metrics.len(), other.rank_metrics.len(), "{label}");
     for (rank, (a, b)) in reference.rank_metrics.iter().zip(&other.rank_metrics).enumerate() {
-        assert_eq!(a.busy.to_bits(), b.busy.to_bits(), "{backend}: rank {rank} busy");
-        assert_eq!(a.comm.to_bits(), b.comm.to_bits(), "{backend}: rank {rank} comm");
-        assert_eq!(a.lb.to_bits(), b.lb.to_bits(), "{backend}: rank {rank} lb");
-        assert_eq!(a.idle.to_bits(), b.idle.to_bits(), "{backend}: rank {rank} idle");
+        assert_eq!(a.busy.to_bits(), b.busy.to_bits(), "{label}: rank {rank} busy");
+        assert_eq!(a.comm.to_bits(), b.comm.to_bits(), "{label}: rank {rank} comm");
+        assert_eq!(a.lb.to_bits(), b.lb.to_bits(), "{label}: rank {rank} lb");
+        assert_eq!(a.idle.to_bits(), b.idle.to_bits(), "{label}: rank {rank} idle");
     }
-    assert_eq!(reference.iterations.len(), other.iterations.len(), "{backend}");
+    assert_eq!(reference.iterations.len(), other.iterations.len(), "{label}");
     for (a, b) in reference.iterations.iter().zip(&other.iterations) {
-        assert_eq!(a.iter, b.iter, "{backend}");
-        assert_eq!(a.wall_time.to_bits(), b.wall_time.to_bits(), "{backend}: iteration {}", a.iter);
-        assert_eq!(a.mean_utilization.to_bits(), b.mean_utilization.to_bits(), "{backend}");
-        assert_eq!(a.lb_active, b.lb_active, "{backend}");
+        assert_eq!(a.iter, b.iter, "{label}");
+        assert_eq!(a.wall_time.to_bits(), b.wall_time.to_bits(), "{label}: iteration {}", a.iter);
+        assert_eq!(a.mean_utilization.to_bits(), b.mean_utilization.to_bits(), "{label}");
+        assert_eq!(a.lb_active, b.lb_active, "{label}");
     }
 }
 
-/// Compare every non-threaded backend against the threaded reference.
-fn assert_backends_equivalent(cfg: &ScenarioConfig) {
-    let reference = on_backend(cfg, Backend::Threaded);
-    for backend in [Backend::Sequential, Backend::Parallel] {
-        let other = on_backend(cfg, backend);
-        assert_bit_identical(&reference, &other, backend);
+/// Compare the multi-worker pools against the one-worker reference.
+fn assert_worker_counts_equivalent(cfg: &ScenarioConfig) {
+    let reference = on_workers(cfg, 1);
+    for workers in [2, 3] {
+        let other = on_workers(cfg, workers);
+        assert_bit_identical(&reference, &other, &format!("workers={workers}"));
     }
 }
 
-/// Compare the single-shard reference against `S ∈ {1, 2, 7, P}` on every
-/// backend.
+/// Compare the single-shard, one-worker reference against
+/// `S ∈ {1, 2, 7, P}` on every worker count.
 fn assert_shard_counts_equivalent(cfg: &ScenarioConfig) {
     let mut reference_cfg = cfg.clone();
     reference_cfg.hub_shards = Some(1);
-    let reference = on_backend(&reference_cfg, Backend::Threaded);
+    let reference = on_workers(&reference_cfg, 1);
     assert_eq!(reference.hub_shards, 1);
-    for backend in [Backend::Threaded, Backend::Sequential, Backend::Parallel] {
+    for workers in WORKERS {
         for shards in [1usize, 2, 7, cfg.ranks] {
             let mut sharded = cfg.clone();
             sharded.hub_shards = Some(shards);
-            let other = on_backend(&sharded, backend);
-            assert_bit_identical(&reference, &other, backend);
+            let other = on_workers(&sharded, workers);
+            assert_bit_identical(&reference, &other, &format!("workers={workers} S={shards}"));
         }
     }
 }
 
 /// Every scenario family at a ragged P with LB activity: bit-identical
-/// across all three backends.
+/// on every worker count.
 #[test]
 fn every_family_equivalent_across_backends() {
     for kind in ScenarioKind::ALL {
         let mut cfg = ScenarioConfig::tiny(kind, 6);
         cfg.iterations = 24;
         cfg.initial_lb_cost_factor = 0.05; // make the trigger actually fire
-        assert_backends_equivalent(&cfg);
+        assert_worker_counts_equivalent(&cfg);
     }
 }
 
@@ -112,7 +111,7 @@ fn policy_wire_grid_equivalent_on_drifting_hotspot() {
             cfg.policy = policy;
             cfg.gossip_wire = wire;
             cfg.initial_lb_cost_factor = 0.05;
-            assert_backends_equivalent(&cfg);
+            assert_worker_counts_equivalent(&cfg);
         }
     }
 }
@@ -121,8 +120,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Randomized scenario configurations: family, ranks, λ, phases, seed,
-    /// policy, wire, hub shards — always bit-identical on all three
-    /// backends.
+    /// policy, wire, hub shards — always bit-identical on every worker
+    /// count.
     #[test]
     fn equivalent_on_random_configs(
         kind_idx in 0usize..5,
@@ -142,10 +141,11 @@ proptest! {
         cfg.policy = if ulba { LbPolicy::ulba_fixed(0.4) } else { LbPolicy::Standard };
         cfg.gossip_wire = if delta_wire { GossipWire::delta() } else { GossipWire::Full };
         cfg.hub_shards = Some(hub_shards);
-        assert_backends_equivalent(&cfg);
+        assert_worker_counts_equivalent(&cfg);
     }
 
-    /// Randomized shard pairs: any two shard counts agree on any backend.
+    /// Randomized shard pairs: any two shard counts agree on any worker
+    /// count.
     #[test]
     fn equivalent_on_random_shard_pairs(
         kind_idx in 0usize..5,
@@ -154,18 +154,17 @@ proptest! {
         seed in any::<u64>(),
         s_a in 1usize..14,
         s_b in 1usize..14,
-        parallel in any::<bool>(),
+        workers in 1usize..4,
     ) {
         let mut cfg = ScenarioConfig::tiny(ScenarioKind::ALL[kind_idx], ranks);
         cfg.iterations = iterations;
         cfg.seed = seed;
-        let backend = if parallel { Backend::Parallel } else { Backend::Sequential };
         let mut a = cfg.clone();
         a.hub_shards = Some(s_a);
         let mut b = cfg;
         b.hub_shards = Some(s_b);
-        let ra = on_backend(&a, backend);
-        let rb = on_backend(&b, backend);
-        assert_bit_identical(&ra, &rb, backend);
+        let ra = on_workers(&a, workers);
+        let rb = on_workers(&b, workers);
+        assert_bit_identical(&ra, &rb, &format!("workers={workers} S={s_a} vs S={s_b}"));
     }
 }

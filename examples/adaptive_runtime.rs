@@ -7,10 +7,10 @@
 //!
 //! Run with: `cargo run --release --example adaptive_runtime`
 //!
-//! The execution backend is selectable per process: e.g.
-//! `ULBA_BACKEND=parallel ULBA_WORKERS=4 cargo run --example adaptive_runtime`
-//! runs the same program (with a bit-identical report) on the
-//! work-stealing pool instead of one thread per rank.
+//! The worker count is selectable per process: e.g.
+//! `ULBA_WORKERS=1 cargo run --example adaptive_runtime` runs the same
+//! program (with a bit-identical report) on a single worker thread instead
+//! of one worker per core.
 
 use ulba::core::outlier::z_from;
 use ulba::core::prelude::*;
@@ -31,7 +31,8 @@ fn main() {
     let hotspot = 12usize;
 
     let config = RunConfig::new(pes);
-    println!("backend: {} ({} PEs)\n", config.backend, pes);
+    let workers = if config.workers == 0 { "all".to_string() } else { config.workers.to_string() };
+    println!("workers: {workers} ({pes} PEs)\n");
     let report = run(config, |mut ctx| async move {
         let rank = ctx.rank();
         let p = ctx.size();

@@ -15,10 +15,9 @@
 //!   (replacement for the Python `simanneal` module used in §III-B);
 //! * [`runtime`] (`ulba-runtime`) — a virtual-time SPMD distributed-memory
 //!   runtime (typed messages, collectives, Hockney cost model,
-//!   per-rank/iteration metrics) with pluggable execution backends: one OS
-//!   thread per rank, a single-threaded lockstep scheduler that scales past
-//!   16 k ranks, or a shared work-stealing job server that runs many
-//!   concurrent SPMD jobs on one worker pool;
+//!   per-rank/iteration metrics) on a shared work-stealing job server that
+//!   runs many concurrent SPMD jobs, of up to a million ranks each, on one
+//!   worker pool;
 //! * [`core`] (`ulba-core`) — the ULBA machinery of §III-C: WIR estimation,
 //!   gossip dissemination, z-score overload detection, the Zhai degradation
 //!   trigger, Algorithm 2 target shares, weighted stripe partitioning and
@@ -87,8 +86,8 @@ pub mod prelude {
         InstanceDistribution, Method, ModelParams, Schedule,
     };
     pub use ulba_runtime::{
-        run, try_run, Backend, JobHandle, JobServer, MachineSpec, Priority, RunConfig, RunError,
-        RunReport, SpmdCtx,
+        run, try_run, JobHandle, JobServer, MachineSpec, Priority, RunConfig, RunError, RunReport,
+        SpmdCtx,
     };
     pub use ulba_scenario::{
         run_scenario, run_scenario_batch, submit_scenario, ScenarioConfig, ScenarioJob,

@@ -63,12 +63,12 @@ fn quickstart_runtime_run() {
     assert!(report.mean_utilization() <= 1.0);
 }
 
-/// Backend selection through the prelude: the sequential backend reproduces
-/// the threaded run exactly.
+/// Executor selection through the prelude: every worker count × hub shard
+/// count reproduces the one-worker, one-shard run exactly.
 #[test]
 fn quickstart_backend_selection() {
-    let go = |backend: Backend| {
-        run(RunConfig::new(3).with_backend(backend), |mut ctx| async move {
+    let go = |workers: usize, shards: usize| {
+        run(RunConfig::new(3).with_workers(workers).with_hub_shards(shards), |mut ctx| async move {
             ctx.compute(1.0e9 * (ctx.rank() + 1) as f64);
             let mine = ctx.now().as_secs();
             let peak = ctx.allreduce_max(mine).await;
@@ -76,7 +76,16 @@ fn quickstart_backend_selection() {
             ctx.barrier().await;
         })
     };
-    let threaded = go(Backend::Threaded);
-    let sequential = go(Backend::Sequential);
-    assert_eq!(threaded.makespan().as_secs().to_bits(), sequential.makespan().as_secs().to_bits());
+    let reference = go(1, 1);
+    for workers in [1, 2, 3] {
+        for shards in [1, 2, 3] {
+            let other = go(workers, shards);
+            assert_eq!(
+                reference.makespan().as_secs().to_bits(),
+                other.makespan().as_secs().to_bits(),
+                "workers={workers} S={shards}"
+            );
+            assert_eq!(reference.rank_metrics, other.rank_metrics, "workers={workers} S={shards}");
+        }
+    }
 }

@@ -1,37 +1,30 @@
 //! Batch-vs-serial equivalence of whole erosion experiments on a shared
-//! [`JobServer`]: for any mix of backend, hub shard count, and gossip wire
-//! format, submitting a sweep to one pool must reproduce the serial
-//! results bit for bit.
+//! [`JobServer`]: for any pool size, hub shard count, and gossip wire
+//! format, submitting a sweep to one pool must reproduce serial runs on
+//! private pools of any worker count bit for bit.
 
 use proptest::prelude::*;
 use ulba::core::gossip::GossipWire;
 use ulba::erosion::{run_erosion, run_erosion_batch, ErosionConfig};
-use ulba::runtime::{Backend, JobServer};
+use ulba::runtime::JobServer;
 
-/// One generated experiment: which backend the config pins (None = eligible
-/// for the pool), plus the free dimensions that must never move a result.
-fn build_config(
-    seed: u64,
-    ranks: usize,
-    wire: GossipWire,
-    hub_shards: usize,
-    backend: Option<Backend>,
-) -> ErosionConfig {
+/// One generated experiment, with the free dimensions that must never move
+/// a result.
+fn build_config(seed: u64, ranks: usize, wire: GossipWire, hub_shards: usize) -> ErosionConfig {
     let mut cfg = ErosionConfig::tiny(ranks, 1);
     cfg.iterations = 15;
     cfg.seed = seed;
     cfg.gossip_wire = wire;
     cfg.hub_shards = Some(hub_shards);
-    cfg.backend = backend;
     cfg
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// A batch mixing pool-eligible configs with explicitly sequential and
-    /// threaded ones (which the batch API runs serially, preserving their
-    /// backend semantics) matches per-config serial runs bit for bit.
+    /// A batch on a pool of `workers` threads matches per-config serial
+    /// runs — each on a private pool of one, two or three workers — bit
+    /// for bit.
     #[test]
     fn batched_sweeps_match_serial_runs(
         sweep in proptest::collection::vec(
@@ -43,17 +36,16 @@ proptest! {
         let server = JobServer::new(workers);
         let cfgs: Vec<ErosionConfig> = sweep
             .iter()
-            .map(|&(seed, ranks, wire, hub_shards, backend)| {
+            .map(|&(seed, ranks, wire, hub_shards, _)| {
                 let wire = [GossipWire::Full, GossipWire::delta(), GossipWire::Delta { full_every: 3 }][wire];
-                let backend = [None, Some(Backend::Sequential), Some(Backend::Threaded)][backend];
-                build_config(seed, ranks, wire, hub_shards, backend)
-                    .with_server(server.clone())
+                build_config(seed, ranks, wire, hub_shards).with_server(server.clone())
             })
             .collect();
         let batched = run_erosion_batch(&cfgs);
-        for (cfg, batch_res) in cfgs.iter().zip(&batched) {
+        for ((cfg, batch_res), &(.., serial_workers)) in cfgs.iter().zip(&batched).zip(&sweep) {
             let mut serial_cfg = cfg.clone();
             serial_cfg.server = None;
+            serial_cfg.workers = Some(serial_workers + 1);
             let serial = run_erosion(&serial_cfg);
             prop_assert_eq!(batch_res.makespan.to_bits(), serial.makespan.to_bits());
             prop_assert_eq!(&batch_res.lb_iterations, &serial.lb_iterations);

@@ -4,7 +4,7 @@
 
 use parking_lot::Mutex;
 use std::sync::Arc;
-use ulba::runtime::{run, Backend, EventKind, MachineSpec, RunConfig, TimeKind, Tracer};
+use ulba::runtime::{run, EventKind, MachineSpec, RunConfig, TimeKind, Tracer};
 
 #[test]
 fn mixed_collectives_and_p2p_many_rounds() {
@@ -144,14 +144,14 @@ fn halo_only_stress_without_the_hub() {
     // Satellite baseline for the sharded-hub numbers: a pure
     // neighbor-exchange (halo) workload with **no global collective per
     // iteration** — between the first and last barrier the rendezvous hub
-    // is never on the hot path, so the cooperative backends run on mailbox
-    // wakes alone. The wake-driven parallel scheduler must match the
-    // round-robin sequential scheduler and the blocking threaded backend
-    // bit-for-bit even when every suspension is a point-to-point wait.
+    // is never on the hot path, so the job server runs on mailbox wakes
+    // alone. Every worker count × hub shard count must match the
+    // one-worker, one-shard run bit-for-bit even when every suspension is
+    // a point-to-point wait.
     let p = 48usize;
     let rounds = 60u64;
-    let go = |backend: Backend| {
-        let config = RunConfig::new(p).with_backend(backend).with_workers(3);
+    let go = |workers: usize, shards: usize| {
+        let config = RunConfig::new(p).with_workers(workers).with_hub_shards(shards);
         run(config, move |mut ctx| async move {
             let rank = ctx.rank();
             let size = ctx.size();
@@ -186,23 +186,26 @@ fn halo_only_stress_without_the_hub() {
             assert!(total > 0.0);
         })
     };
-    let reference = go(Backend::Threaded);
+    let reference = go(1, 1);
     assert_eq!(reference.iterations.len(), rounds as usize);
-    for backend in [Backend::Sequential, Backend::Parallel] {
-        let other = go(backend);
-        assert_eq!(reference.rank_metrics, other.rank_metrics, "{backend}");
-        assert_eq!(reference.final_clocks, other.final_clocks, "{backend}");
-        assert_eq!(
-            reference.makespan().as_secs().to_bits(),
-            other.makespan().as_secs().to_bits(),
-            "{backend}"
-        );
+    for workers in [1, 2, 3] {
+        for shards in [1, 2, 7, p] {
+            let other = go(workers, shards);
+            let at = format!("workers={workers} S={shards}");
+            assert_eq!(reference.rank_metrics, other.rank_metrics, "{at}");
+            assert_eq!(reference.final_clocks, other.final_clocks, "{at}");
+            assert_eq!(
+                reference.makespan().as_secs().to_bits(),
+                other.makespan().as_secs().to_bits(),
+                "{at}"
+            );
+        }
     }
 }
 
 #[test]
 fn sparse_db_large_p_erosion_smoke() {
-    // The full erosion application at P = 2048 on the sequential backend —
+    // The full erosion application at P = 2048 on a one-worker pool —
     // a scale at which the old dense WIR database alone would hold
     // 2048² ≈ 4.2 M entries (~100 MB). With the sparse database and delta
     // gossip over a short Ring run, each rank only ever holds what the ring
@@ -220,7 +223,7 @@ fn sparse_db_large_p_erosion_smoke() {
     cfg.iterations = iterations;
     cfg.gossip = GossipMode::Ring;
     cfg.gossip_wire = GossipWire::delta();
-    cfg.backend = Some(Backend::Sequential);
+    cfg.workers = Some(1);
     let res = run_erosion(&cfg);
     assert_eq!(res.iterations.len(), iterations as usize);
     assert!(res.makespan > 0.0);
@@ -240,7 +243,7 @@ fn sparse_db_large_p_erosion_smoke() {
 
 #[test]
 fn large_rank_count_with_collectives() {
-    // 200 rank threads on whatever cores exist: the hub must scale.
+    // 200 ranks on whatever cores exist: the hub must scale.
     let report = run(RunConfig::new(200), |mut ctx| async move {
         let sum = ctx.allreduce_sum(ctx.rank() as f64).await;
         assert_eq!(sum, (0..200).sum::<usize>() as f64);
