@@ -15,11 +15,11 @@
 use ulba_bench::figures::scenarios;
 use ulba_bench::output::{
     apply_cli_runtime, cli_gossip_wire, cli_ranks, enforce_cli_flags, env_usize, json_report_path,
-    quick_mode, EROSION_STUDY_FLAGS, SMOKE_FLAGS,
+    quick_mode, SMOKE_FLAGS, WIRE_STUDY_FLAGS,
 };
 
 fn main() {
-    enforce_cli_flags(EROSION_STUDY_FLAGS, SMOKE_FLAGS);
+    enforce_cli_flags(WIRE_STUDY_FLAGS, SMOKE_FLAGS);
     // Exports --workers as ULBA_WORKERS; the study reads it back below.
     apply_cli_runtime();
     let workers = env_usize("ULBA_WORKERS", 0);

@@ -16,13 +16,11 @@
 use ulba_bench::figures::weak_scaling::{self, WEAK_SCALING_PE_COUNTS};
 use ulba_bench::output::{
     apply_cli_runtime, cli_gossip_wire, cli_json_path, cli_ranks, enforce_cli_flags, quick_mode,
-    EROSION_STUDY_FLAGS, SMOKE_FLAGS,
+    SMOKE_FLAGS, WIRE_STUDY_FLAGS,
 };
 
 fn main() {
-    let mut flags = EROSION_STUDY_FLAGS.to_vec();
-    flags.push("--gossip-wire");
-    enforce_cli_flags(&flags, SMOKE_FLAGS);
+    enforce_cli_flags(WIRE_STUDY_FLAGS, SMOKE_FLAGS);
     // Exports --workers as ULBA_WORKERS so every run picks it up.
     apply_cli_runtime();
     let pes = cli_ranks().unwrap_or_else(|| WEAK_SCALING_PE_COUNTS.to_vec());

@@ -82,6 +82,12 @@ pub fn env_usize(name: &str, default: usize) -> usize {
 /// `apply_cli_runtime` + `cli_ranks` + `--json` set).
 pub const EROSION_STUDY_FLAGS: &[&str] = &["--workers", "--hub-shards", "--ranks", "--json"];
 
+/// Value-taking flags of the studies that also sweep the gossip wire
+/// (`weak_scaling`, `scenarios`): [`EROSION_STUDY_FLAGS`] plus
+/// `--gossip-wire` ([`cli_gossip_wire`]).
+pub const WIRE_STUDY_FLAGS: &[&str] =
+    &["--workers", "--hub-shards", "--ranks", "--json", "--gossip-wire"];
+
 /// Boolean flags every figure binary accepts.
 pub const SMOKE_FLAGS: &[&str] = &["--smoke"];
 
@@ -437,6 +443,18 @@ mod tests {
         audit_args(args(&["--gossip-wire", "delta", "--smoke"]), &value, SMOKE_FLAGS).unwrap();
         audit_args(args(&["--gossip-wire=delta:4", "--ranks=8,16"]), &value, SMOKE_FLAGS).unwrap();
         audit_args(args(&[]), &value, SMOKE_FLAGS).unwrap();
+    }
+
+    #[test]
+    fn wire_studies_accept_the_gossip_wire_flag() {
+        // Regression: `scenarios` documented `--gossip-wire` but audited
+        // against EROSION_STUDY_FLAGS and exited 2 on it.
+        let cli = args(&["--gossip-wire", "delta:4", "--workers", "2", "--smoke"]);
+        audit_args(cli.clone(), WIRE_STUDY_FLAGS, SMOKE_FLAGS).unwrap();
+        assert!(audit_args(cli, EROSION_STUDY_FLAGS, SMOKE_FLAGS).is_err());
+        for flag in EROSION_STUDY_FLAGS {
+            assert!(WIRE_STUDY_FLAGS.contains(flag), "{flag}");
+        }
     }
 
     #[test]

@@ -25,7 +25,10 @@
 //! * [`partition`] — weighted contiguous 1-D (stripe) partitioning;
 //! * [`balancer`] — the centralized LB technique executed on
 //!   [`ulba_runtime`];
-//! * [`policy`] — standard vs. ULBA (fixed α) vs. the dynamic-α extension.
+//! * [`policy`] — standard vs. ULBA (fixed α) vs. the dynamic-α extension;
+//! * [`driver`] — the whole per-iteration ULBA rank loop on
+//!   [`ulba_runtime`], generic over an application's [`driver::Workload`],
+//!   plus the run/submit/batch entry points every application shares.
 //!
 //! # Example: one ULBA decision cycle (no runtime needed)
 //!
@@ -55,6 +58,7 @@
 
 pub mod balancer;
 pub mod db;
+pub mod driver;
 pub mod gossip;
 pub mod model_loop;
 pub mod outlier;

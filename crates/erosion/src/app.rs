@@ -1,28 +1,18 @@
-//! The full distributed erosion application (§IV-B), wiring the mesh
-//! dynamics to the ULBA machinery on the SPMD runtime.
+//! The full distributed erosion application (§IV-B): one stripe of columns
+//! per rank, as a [`Workload`] of the ULBA rank loop in
+//! [`ulba_core::driver`], which documents the per-iteration steps.
 //!
-//! Per iteration, each rank:
+//! The stripe's part of an iteration is the halo exchange with its
+//! neighbours, the fluid compute (`fluid weight × FLOP/cell`) plus a small
+//! frontier-scan term, and the probabilistic erosion step (real state
+//! mutation). At an LB step rank 0 also pays the root's cell-granularity
+//! repartitioning walk, the split may use anticipated column weights
+//! ([`ErosionConfig::anticipatory_partitioning`]), and the columns migrate.
 //!
-//! 1. exchanges halo columns with its neighbours and refreshes the exposure
-//!    of its boundary columns;
-//! 2. charges the fluid compute (`fluid weight × FLOP/cell`) plus a small
-//!    frontier-scan term;
-//! 3. executes the probabilistic erosion step (real state mutation);
-//! 4. updates its WIR estimate and performs one gossip dissemination step;
-//! 5. joins the iteration-end `allgather` carrying `(elapsed, workload)` —
-//!    the max elapsed is the iteration wall time fed to the trigger;
-//! 6. learns (via broadcast from rank 0) whether to run the LB step; if so,
-//!    computes its α from its WIR z-score (Algorithm 1), joins the
-//!    centralized rebalancing (Algorithm 2), migrates columns, and the
-//!    measured cost updates the trigger's EWMA LB-cost model.
-//!
-//! Experiments execute through three entry points that share one prepared
-//! rank body: [`run_erosion`] (run one config, blocking),
-//! [`submit_erosion`] (enqueue one config on a shared [`JobServer`] and
-//! join later), and [`run_erosion_batch`] (submit a whole sweep, join in
-//! order). The runtime's determinism guarantee makes all three
-//! bit-identical for the same config — batching is purely a wall-time
-//! optimization.
+//! [`run_erosion`] (blocking), [`submit_erosion`] (enqueue on a shared
+//! [`JobServer`], join later) and [`run_erosion_batch`] (submit a sweep,
+//! join in order) all execute one [`Experiment`] and are bit-identical for
+//! the same config — batching only buys wall time.
 
 use crate::config::ErosionConfig;
 #[cfg(test)]
@@ -30,27 +20,16 @@ use crate::config::TriggerKind;
 use crate::erode::erosion_step;
 use crate::geometry::Geometry;
 use crate::stripe::{exchange_halos_reusing, migrate, HaloScratch, Stripe};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::future::Future;
-use std::pin::Pin;
 use std::sync::Arc;
-use ulba_core::balancer::centralized_rebalance;
-use ulba_core::db::{wire_bytes, WirDatabase, WirEntry};
-use ulba_core::gossip::{select_peers, GossipOutbox};
+use ulba_core::driver::{run_batch, Experiment, Job, LoopConfig, Outcome, Workload};
 use ulba_core::partition::{predicted_weights, Partition};
 #[cfg(test)]
 use ulba_core::policy::LbPolicy;
-use ulba_core::policy::{estimate_ulba_overhead, outlier_score};
-use ulba_core::trigger::{AnyTrigger, LbTrigger};
-use ulba_core::wir::WirEstimator;
-use ulba_runtime::{
-    run, IterationStats, JobHandle, JobServer, MachineSpec, RankMetrics, RunConfig, RunReport,
-    SpmdCtx, Tag,
-};
+use ulba_runtime::{IterationStats, JobServer, MachineSpec, RankMetrics, RunConfig, SpmdCtx, Tag};
 
 /// Message tag of gossip snapshots.
 pub const GOSSIP_TAG: Tag = 0x474F;
@@ -109,92 +88,64 @@ pub fn choose_strong_rocks(cfg: &ErosionConfig) -> Vec<usize> {
     strong
 }
 
-/// Out-of-band measurements a run records on its way out: rank 0's final
-/// physics totals and every rank's database-footprint contribution. A side
-/// channel, not a collective: it must not perturb the virtual-time
-/// measurements. Owned per prepared run, so concurrent jobs on a shared
-/// [`JobServer`] can never cross-contaminate each other's accounting.
-#[derive(Default)]
-struct SideChannels {
-    /// `(final total weight, total eroded)`, recorded by rank 0.
-    extras: Mutex<Option<(u64, u64)>>,
-    /// Aggregate memory accounting `(db entries, gossip watermarks)`,
-    /// summed by every rank on its way out.
-    db_footprint: Mutex<(u64, u64)>,
+/// One rank's stripe and the erosion state around it.
+struct StripeRank {
+    cfg: Arc<ErosionConfig>,
+    strong: Arc<Vec<usize>>,
+    stripe: Stripe,
+    /// Every rank's stripe equals its range of this partition at all times
+    /// (initially by construction, after every LB step by migration), so
+    /// migration routing never needs the per-rank `O(P)` materialization of
+    /// everyone's old ranges.
+    partition: Partition,
+    eroded: u64,
+    /// Per-column weight history for anticipatory partitioning: weights by
+    /// global column index as of `history_iter`.
+    history: HashMap<usize, u64>,
+    history_iter: u64,
+    /// Scratch reused across iterations and LB steps so the steady-state
+    /// loop allocates nothing: halo send buffers are refilled from the
+    /// halos received the previous iteration, and the per-column weight
+    /// vector is cleared and refilled in place at each LB step.
+    halos: HaloScratch,
+    weights: Vec<u64>,
 }
 
-/// One rank's whole program, from initial stripe to final accounting.
-///
-/// Everything captured is owned (`Arc`s and clones): the future is
-/// `'static`, as the runtime requires — a submitted job outlives the stack
-/// frame that prepared it.
-async fn rank_program(
-    mut ctx: SpmdCtx,
-    cfg: Arc<ErosionConfig>,
-    geometry: Arc<Geometry>,
-    strong: Arc<Vec<usize>>,
-    initial_partition: Partition,
-    side: Arc<SideChannels>,
-) {
-    let rank = ctx.rank();
-    let p = ctx.size();
-    // Disc membership is positional (one disc per initial stripe);
-    // rock cells carry no id — see `cell.rs`.
-    let prob_of = |col: usize| {
-        if strong.binary_search(&(col / cfg.cols_per_pe)).is_ok() {
-            cfg.p_strong
-        } else {
-            cfg.p_weak
-        }
-    };
-
-    let mut stripe =
-        Stripe::initial(&geometry, rank * cfg.cols_per_pe..(rank + 1) * cfg.cols_per_pe);
-    // Every rank's stripe equals its range of this partition at all
-    // times (initially by construction, after every LB step by
-    // migration) — so migration routing never needs the per-rank
-    // `O(P)` materialization of everyone's old ranges.
-    let mut prev_partition = initial_partition;
-    let mut wir = WirEstimator::new(cfg.wir_window);
-    let mut db = WirDatabase::new(p);
-    let mut outbox = GossipOutbox::new();
-    // The trigger lives on rank 0 (decisions are broadcast); it is
-    // created at iteration 0 once the first wall time seeds the LB-cost
-    // estimate.
-    let mut trigger: Option<AnyTrigger> = None;
-    let mut eroded_total = 0u64;
-    // Per-column weight history for anticipatory partitioning: weights
-    // by global column index as of `history_iter`.
-    let mut history: HashMap<usize, u64> = HashMap::new();
-    let mut history_iter = 0u64;
-    // Scratch reused across iterations/LB steps so the steady-state loop
-    // allocates nothing: halo send buffers are refilled from the halos
-    // received the previous iteration, and the per-column weight vector
-    // is cleared and refilled in place at each LB step.
-    let mut halo_scratch = HaloScratch::new();
-    let mut weights_scratch: Vec<u64> = Vec::new();
-    if cfg.anticipatory_partitioning {
-        stripe.col_weights_into(&mut weights_scratch);
-        for (i, &w) in weights_scratch.iter().enumerate() {
-            history.insert(stripe.first_col() + i, w);
-        }
+impl StripeRank {
+    /// Record the current column weights as the anticipation baseline.
+    fn record_history(&mut self, iter: u64) {
+        self.history.clear();
+        self.stripe.col_weights_into(&mut self.weights);
+        let first = self.stripe.first_col();
+        self.history.extend(self.weights.iter().enumerate().map(|(i, &w)| (first + i, w)));
+        self.history_iter = iter;
     }
+}
 
-    for iter in 0..cfg.iterations {
-        let iter_start = ctx.now();
+impl Workload for StripeRank {
+    /// `(final total fluid weight, total eroded cells)`.
+    type Summary = (u64, u64);
 
-        // (1) Halo exchange + boundary exposure refresh.
-        let halos = exchange_halos_reusing(&mut ctx, &stripe, &mut halo_scratch).await;
-        stripe.refresh_boundary_exposure(halos.left.as_deref(), halos.right.as_deref());
+    async fn iterate(&mut self, ctx: &mut SpmdCtx, iter: u64) -> f64 {
+        let halos = exchange_halos_reusing(ctx, &self.stripe, &mut self.halos).await;
+        self.stripe.refresh_boundary_exposure(halos.left.as_deref(), halos.right.as_deref());
 
-        // (2) Fluid compute + frontier scan (charged).
-        let workload_flops = stripe.fluid_weight() as f64 * cfg.flop_per_cell;
-        ctx.compute(workload_flops + stripe.exposed_count() as f64 * FRONTIER_FLOP);
+        let workload_flops = self.stripe.fluid_weight() as f64 * self.cfg.flop_per_cell;
+        ctx.compute(workload_flops + self.stripe.exposed_count() as f64 * FRONTIER_FLOP);
 
-        // (3) Erosion dynamics (actual state mutation).
-        let first_col = stripe.first_col();
+        // Disc membership is positional (one disc per initial stripe);
+        // rock cells carry no id — see `cell.rs`.
+        let (cfg, strong) = (&self.cfg, &self.strong);
+        let prob_of = |col: usize| {
+            if strong.binary_search(&(col / cfg.cols_per_pe)).is_ok() {
+                cfg.p_strong
+            } else {
+                cfg.p_weak
+            }
+        };
+        let first_col = self.stripe.first_col();
         let delta = erosion_step(
-            stripe.cols_mut(),
+            self.stripe.cols_mut(),
             first_col,
             halos.left.as_deref(),
             halos.right.as_deref(),
@@ -202,202 +153,119 @@ async fn rank_program(
             iter,
             &prob_of,
         );
-        eroded_total += delta.eroded as u64;
+        self.eroded += delta.eroded as u64;
         // The halos are fully consumed: feed their buffers back into the
         // next iteration's sends.
-        halos.recycle_into(&mut halo_scratch);
+        halos.recycle_into(&mut self.halos);
+        workload_flops
+    }
 
-        // (4) WIR measurement + one gossip dissemination step.
-        wir.push(iter, workload_flops);
-        if let Some(rate) = wir.rate() {
-            db.update(WirEntry { rank, wir: rate, iteration: iter });
+    fn lb_weights(&mut self, ctx: &mut SpmdCtx, iter: u64) -> (usize, &[u64]) {
+        // The root's cell-granularity repartitioning walk (grows with P).
+        if ctx.rank() == 0 {
+            ctx.elapse_lb(self.cfg.lb_root_walk_secs());
         }
-        for peer in select_peers(cfg.gossip, rank, p, iter, cfg.seed) {
-            let payload = outbox.message(&db, peer, iter, cfg.gossip_wire);
-            let payload_bytes = wire_bytes(&payload);
-            ctx.send(peer, GOSSIP_TAG, payload, payload_bytes);
+        self.stripe.col_weights_into(&mut self.weights);
+        if self.cfg.anticipatory_partitioning {
+            // Extrapolate column weights over the expected next interval
+            // (persistence: ≈ the last interval length).
+            let elapsed_iters = (iter - self.history_iter).max(1) as f64;
+            let first = self.stripe.first_col();
+            let rates: Vec<f64> = self
+                .weights
+                .iter()
+                .enumerate()
+                .map(|(i, &w)| match self.history.get(&(first + i)) {
+                    Some(&old) => (w as f64 - old as f64) / elapsed_iters,
+                    None => 0.0, // migrated in: no history yet
+                })
+                .collect();
+            self.weights = predicted_weights(&self.weights, &rates, elapsed_iters);
         }
+        (self.stripe.first_col(), &self.weights)
+    }
 
-        // (5) Iteration-end sync: share (elapsed, workload).
-        let elapsed = ctx.now() - iter_start;
-        let (t_iter, wtot_flops) = ctx
-            .allgather_fold((elapsed, workload_flops), 16, |stats| {
-                let t_iter = stats.iter().map(|s| s.0).fold(0.0f64, f64::max);
-                let wtot_flops: f64 = stats.iter().map(|s| s.1).sum();
-                (t_iter, wtot_flops)
-            })
-            .await;
-
-        // Drain gossip *after* the rendezvous: every message posted this
-        // iteration is now guaranteed present, so the merged set (and
-        // with it every LB decision) is deterministic.
-        for (_, snap) in ctx.drain::<Vec<WirEntry>>(GOSSIP_TAG) {
-            db.merge(&snap);
-        }
-
-        // (6) LB decision on rank 0, broadcast to everyone.
-        let my_flag = if rank == 0 {
-            let trig = trigger
-                .get_or_insert_with(|| cfg.trigger.build(cfg.initial_lb_cost_factor * t_iter));
-            trig.set_overhead_estimate(estimate_ulba_overhead(
-                &cfg.policy,
-                &db,
-                wtot_flops,
-                cfg.omega,
-                p,
-            ));
-            Some(trig.observe(iter, t_iter))
-        } else {
-            None
-        };
-        let lb_now = ctx.broadcast(0, my_flag, 1).await;
-        ctx.mark_iteration(iter);
-
-        // (7) The LB step (Algorithms 1–2 + migration).
-        if lb_now && iter + 1 < cfg.iterations {
-            ctx.begin_lb();
-            let lb_started = ctx.now();
-            // Fixed per-call overhead restoring the paper's LB-cost
-            // regime (see ErosionConfig::lb_fixed_cost_factor), plus the
-            // root's cell-granularity repartitioning walk (grows with P).
-            ctx.elapse_lb(cfg.lb_fixed_cost_secs());
-            if rank == 0 {
-                ctx.elapse_lb(cfg.lb_root_walk_secs());
-            }
-            let my_z = outlier_score(&cfg.policy, &db, rank);
-            let my_alpha = cfg.policy.alpha_for(my_z);
-            // Optionally extrapolate column weights over the expected
-            // next interval (persistence: ≈ the last interval length).
-            stripe.col_weights_into(&mut weights_scratch);
-            let current_weights = &weights_scratch;
-            let split_weights = if cfg.anticipatory_partitioning {
-                let elapsed_iters = (iter - history_iter).max(1) as f64;
-                let rates: Vec<f64> = current_weights
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &w)| {
-                        let global = stripe.first_col() + i;
-                        match history.get(&global) {
-                            Some(&old) => (w as f64 - old as f64) / elapsed_iters,
-                            None => 0.0, // migrated in: no history yet
-                        }
-                    })
-                    .collect();
-                predicted_weights(current_weights, &rates, elapsed_iters)
-            } else {
-                current_weights.clone()
-            };
-            let outcome =
-                centralized_rebalance(&mut ctx, my_alpha, stripe.first_col(), &split_weights).await;
-            let partition = outcome.partition;
-            // The range allgather stays for its virtual cost, but its
-            // payload is redundant — every rank's range *is* its slot of
-            // the cached previous partition — so nothing is gathered.
-            ctx.allgather_fold((stripe.first_col(), stripe.len()), 16, |_| ()).await;
-            stripe = migrate(&mut ctx, stripe, &prev_partition, &partition).await;
-            prev_partition = partition.clone();
-            let measured = ctx.now() - lb_started;
-            let cost = ctx.allreduce_max(measured).await;
-            ctx.end_lb();
-            if rank == 0 {
-                if let Some(trig) = trigger.as_mut() {
-                    trig.lb_completed(iter, cost);
-                }
-                ctx.mark_lb_event(iter);
-            }
-            // Workload jumped with the migration: restart the local WIR
-            // estimate (the persistence principle applies *between* LB
-            // steps).
-            wir.reset();
-            if cfg.anticipatory_partitioning {
-                history.clear();
-                stripe.col_weights_into(&mut weights_scratch);
-                for (i, &w) in weights_scratch.iter().enumerate() {
-                    history.insert(stripe.first_col() + i, w);
-                }
-                history_iter = iter;
-            }
+    async fn migrate(&mut self, ctx: &mut SpmdCtx, partition: Partition, iter: u64) {
+        // The range allgather stays for its virtual cost, but its payload
+        // is redundant — every rank's range *is* its slot of the cached
+        // previous partition — so nothing is gathered.
+        ctx.allgather_fold((self.stripe.first_col(), self.stripe.len()), 16, |_| ()).await;
+        let stripe = std::mem::take(&mut self.stripe);
+        self.stripe = migrate(ctx, stripe, &self.partition, &partition).await;
+        self.partition = partition;
+        if self.cfg.anticipatory_partitioning {
+            self.record_history(iter);
         }
     }
 
-    // Final accounting.
-    let final_weight = ctx.allreduce_sum(stripe.fluid_weight() as f64).await as u64;
-    let eroded = ctx.allreduce_sum(eroded_total as f64).await as u64;
-    if rank == 0 {
-        *side.extras.lock() = Some((final_weight, eroded));
+    async fn finish(self, ctx: &mut SpmdCtx) -> (u64, u64) {
+        let final_weight = ctx.allreduce_sum(self.stripe.fluid_weight() as f64).await as u64;
+        let eroded = ctx.allreduce_sum(self.eroded as f64).await as u64;
+        (final_weight, eroded)
     }
-    let mut footprint = side.db_footprint.lock();
-    footprint.0 += db.known_count() as u64;
-    footprint.1 += outbox.tracked_peers() as u64;
-}
-
-/// The rank-body shape every execution path shares: boxed, so the prepared
-/// run has a concrete type whether it is handed to [`run`] or to
-/// [`JobServer::submit`]. One heap allocation per rank at spawn — noise
-/// next to a rank's stripe state.
-type ErosionBody = Box<dyn Fn(SpmdCtx) -> Pin<Box<dyn Future<Output = ()> + Send>> + Send + Sync>;
-
-/// A validated experiment, ready to execute: the resolved runtime config,
-/// the rank body, and the side channels the body reports into.
-struct PreparedRun {
-    run_cfg: RunConfig,
-    hub_shards: usize,
-    side: Arc<SideChannels>,
-    body: ErosionBody,
 }
 
 /// Validate `cfg`, build the immutable shared inputs (geometry, strong-rock
-/// set, initial partition) once, and package the rank body.
-fn prepare(cfg: &ErosionConfig) -> PreparedRun {
+/// set, initial partition) once, and package the experiment.
+fn prepare(cfg: &ErosionConfig) -> Experiment<StripeRank, ExperimentResult> {
     cfg.validate().expect("invalid erosion config");
-    let geometry = Arc::new(Geometry::new(cfg.ranks, cfg.cols_per_pe, cfg.height, cfg.rock_radius));
+    let geometry = Geometry::new(cfg.ranks, cfg.cols_per_pe, cfg.height, cfg.rock_radius);
     let strong = Arc::new(choose_strong_rocks(cfg));
     // The initial (uniform) partition, built once and Arc-shared: every
-    // rank's cached "previous partition" clone is a reference bump, never a
-    // per-rank `O(P)` bounds copy.
+    // rank's cached copy is a reference bump, never a per-rank `O(P)`
+    // bounds copy.
     let initial_partition =
         Partition::from_bounds((0..=cfg.ranks).map(|r| r * cfg.cols_per_pe).collect(), cfg.width());
-    let spec = MachineSpec::homogeneous(cfg.omega);
-    let side = Arc::new(SideChannels::default());
 
     let mut cfg = cfg.clone();
-    // The server handle only routes the run; the rank bodies never need it,
-    // and a handle captured inside the job's own futures would keep the
-    // pool alive from within itself.
+    // The server handle only routes the run; the ranks never need it, and
+    // a handle captured inside the job's own futures would keep the pool
+    // alive from within itself.
     let server = cfg.server.take();
-    let mut run_cfg = RunConfig::new(cfg.ranks).with_spec(spec);
-    if let Some(workers) = cfg.workers {
-        run_cfg = run_cfg.with_workers(workers);
-    }
-    if let Some(hub_shards) = cfg.hub_shards {
-        run_cfg = run_cfg.with_hub_shards(hub_shards);
-    }
-    if let Some(server) = server {
-        run_cfg = run_cfg.with_server(server);
-    }
-    let hub_shards = run_cfg.effective_hub_shards();
-
+    let mut run_cfg = RunConfig::new(cfg.ranks).with_spec(MachineSpec::homogeneous(cfg.omega));
+    run_cfg.workers = cfg.workers.unwrap_or(run_cfg.workers);
+    run_cfg.hub_shards = cfg.hub_shards.unwrap_or(run_cfg.hub_shards);
+    run_cfg.server = server;
+    let loop_cfg = LoopConfig {
+        iterations: cfg.iterations,
+        policy: cfg.policy,
+        trigger: cfg.trigger,
+        initial_lb_cost_factor: cfg.initial_lb_cost_factor,
+        lb_fixed_secs: cfg.lb_fixed_cost_secs(),
+        gossip: cfg.gossip,
+        gossip_wire: cfg.gossip_wire,
+        gossip_tag: GOSSIP_TAG,
+        wir_window: cfg.wir_window,
+        seed: cfg.seed,
+    };
     let cfg = Arc::new(cfg);
-    let side_tx = Arc::clone(&side);
-    let body: ErosionBody = Box::new(move |ctx| {
-        Box::pin(rank_program(
-            ctx,
-            Arc::clone(&cfg),
-            Arc::clone(&geometry),
-            Arc::clone(&strong),
-            initial_partition.clone(),
-            Arc::clone(&side_tx),
-        ))
-    });
-    PreparedRun { run_cfg, hub_shards, side, body }
+    let make = move |ctx: &SpmdCtx| {
+        let rank = ctx.rank();
+        let stripe =
+            Stripe::initial(&geometry, rank * cfg.cols_per_pe..(rank + 1) * cfg.cols_per_pe);
+        let mut work = StripeRank {
+            cfg: Arc::clone(&cfg),
+            strong: Arc::clone(&strong),
+            stripe,
+            partition: initial_partition.clone(),
+            eroded: 0,
+            history: HashMap::new(),
+            history_iter: 0,
+            halos: HaloScratch::new(),
+            weights: Vec::new(),
+        };
+        if cfg.anticipatory_partitioning {
+            work.record_history(0);
+        }
+        work
+    };
+    Experiment::new(run_cfg, loop_cfg, make, assemble)
 }
 
-/// Combine the runtime's report with the run's side channels into the
-/// final measurements.
-fn assemble(report: RunReport, side: &SideChannels, hub_shards: usize) -> ExperimentResult {
-    let (final_total_weight, total_eroded) =
-        side.extras.lock().take().expect("rank 0 recorded the extras");
-    let (db_entries_total, gossip_watermarks_total) = *side.db_footprint.lock();
+/// Combine the loop's outcome into the final measurements.
+fn assemble(out: Outcome<(u64, u64)>) -> ExperimentResult {
+    let (final_total_weight, total_eroded) = out.summary;
+    let report = out.report;
     ExperimentResult {
         makespan: report.makespan().as_secs(),
         lb_calls: report.lb_call_count(),
@@ -407,54 +275,25 @@ fn assemble(report: RunReport, side: &SideChannels, hub_shards: usize) -> Experi
         final_total_weight,
         total_eroded,
         rank_metrics: report.rank_metrics,
-        hub_shards,
-        db_entries_total,
-        gossip_watermarks_total,
+        hub_shards: report.hub_shards,
+        db_entries_total: out.db_entries_total,
+        gossip_watermarks_total: out.gossip_watermarks_total,
     }
 }
 
 /// Run one erosion experiment and collect its measurements.
 pub fn run_erosion(cfg: &ErosionConfig) -> ExperimentResult {
-    let prepared = prepare(cfg);
-    let report = run(prepared.run_cfg, prepared.body);
-    assemble(report, &prepared.side, prepared.hub_shards)
+    prepare(cfg).run()
 }
 
 /// A submitted erosion experiment; see [`submit_erosion`].
-pub struct ErosionJob {
-    handle: JobHandle,
-    side: Arc<SideChannels>,
-    hub_shards: usize,
-}
-
-impl std::fmt::Debug for ErosionJob {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ErosionJob").field("job", &self.id()).finish()
-    }
-}
-
-impl ErosionJob {
-    /// The runtime job id of the experiment.
-    pub fn id(&self) -> u64 {
-        self.handle.id()
-    }
-
-    /// Block until the experiment finishes and collect its measurements.
-    /// Same failure contract as [`run_erosion`]: panics if the job
-    /// deadlocked or a rank panicked.
-    pub fn join(self) -> ExperimentResult {
-        let report = self.handle.join().unwrap_or_else(|err| panic!("{err}"));
-        assemble(report, &self.side, self.hub_shards)
-    }
-}
+pub type ErosionJob = Job<ExperimentResult>;
 
 /// Submit one experiment to `server` without waiting for it. The
 /// measurements are bit-identical to a serial [`run_erosion`] of the same
 /// config; only wall time and concurrency differ.
 pub fn submit_erosion(server: &JobServer, cfg: &ErosionConfig) -> ErosionJob {
-    let prepared = prepare(cfg);
-    let handle = server.submit(prepared.run_cfg, prepared.body);
-    ErosionJob { handle, side: prepared.side, hub_shards: prepared.hub_shards }
+    prepare(cfg).submit(server)
 }
 
 /// Run a whole sweep concurrently on a shared pool and return the results
@@ -465,14 +304,7 @@ pub fn submit_erosion(server: &JobServer, cfg: &ErosionConfig) -> ErosionJob {
 /// determinism guarantee makes every result bit-identical to a serial
 /// [`run_erosion`] of the same config — batching only buys wall time.
 pub fn run_erosion_batch(cfgs: &[ErosionConfig]) -> Vec<ExperimentResult> {
-    let jobs: Vec<ErosionJob> = cfgs
-        .iter()
-        .map(|cfg| match &cfg.server {
-            Some(server) => submit_erosion(server, cfg),
-            None => submit_erosion(JobServer::global(), cfg),
-        })
-        .collect();
-    jobs.into_iter().map(ErosionJob::join).collect()
+    run_batch(cfgs.iter().map(prepare))
 }
 
 /// Run the same configuration under several seeds and return the median

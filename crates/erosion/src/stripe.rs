@@ -13,7 +13,7 @@ pub const HALO_TAG: Tag = 0x4841;
 pub const MIGRATE_TAG: Tag = 0x4D49;
 
 /// The contiguous block of columns owned by one rank.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Stripe {
     first_col: usize,
     cols: Vec<Column>,

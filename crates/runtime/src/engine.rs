@@ -37,14 +37,15 @@ pub struct RunConfig {
     /// Worker threads of the transient pool a run without a
     /// [`RunConfig::server`] stands up; `0` (the default) submits to the
     /// process-wide [`JobServer::global`] instead. Defaults to the
-    /// `ULBA_WORKERS` environment variable. Also seeds the automatic hub
-    /// shard count ([`RunConfig::effective_hub_shards`]).
+    /// `ULBA_WORKERS` environment variable.
     pub workers: usize,
     /// Leaf shard count of the collective rendezvous hub; `0` (the
-    /// default) resolves to `min(effective workers, 64)` (capped at
-    /// `ranks`), so a run spreads rendezvous contention over one shard per
-    /// worker. Defaults to the `ULBA_HUB_SHARDS` environment variable.
-    /// Reports are bit-identical for **any** shard count.
+    /// default) resolves, at submission, to `min(workers of the server
+    /// the job runs on, 64)` (capped at `ranks`), so a run spreads
+    /// rendezvous contention over one shard per worker. Defaults to the
+    /// `ULBA_HUB_SHARDS` environment variable. Reports are bit-identical
+    /// for **any** shard count; [`RunReport::hub_shards`] says which one
+    /// ran.
     pub hub_shards: usize,
     /// Existing [`JobServer`] to submit to; `None` (the default) uses the
     /// process-wide default server ([`JobServer::global`]), or a transient
@@ -117,7 +118,7 @@ impl RunConfig {
     }
 
     /// Set the leaf shard count of the rendezvous hub (`0` = automatic:
-    /// `min(effective workers, 64)`; overrides `ULBA_HUB_SHARDS`). Any
+    /// `min(server workers, 64)`; overrides `ULBA_HUB_SHARDS`). Any
     /// value produces bit-identical reports; the count only tunes lock
     /// contention at the collective rendezvous.
     pub fn with_hub_shards(mut self, shards: usize) -> Self {
@@ -138,16 +139,18 @@ impl RunConfig {
         self
     }
 
-    /// The hub shard count this configuration resolves to: the explicit
-    /// [`RunConfig::hub_shards`] if nonzero, otherwise
-    /// `min(effective workers, 64)` — one shard per worker. Always clamped
-    /// to `[1, ranks]`.
+    /// The hub shard count a [`run`] of this configuration resolves to
+    /// when it stands up its own pool: the explicit
+    /// [`RunConfig::hub_shards`] if nonzero, otherwise `min(pool workers,
+    /// 64)` — one shard per worker. Always clamped to `[1, ranks]`.
     pub fn effective_hub_shards(&self) -> usize {
-        let shards = if self.hub_shards > 0 {
-            self.hub_shards
-        } else {
-            server::effective_workers(self).min(64)
-        };
+        self.hub_shards_for(server::effective_workers(self))
+    }
+
+    /// The hub shard count of this configuration on a server with
+    /// `workers` workers (see [`RunConfig::effective_hub_shards`]).
+    pub(crate) fn hub_shards_for(&self, workers: usize) -> usize {
+        let shards = if self.hub_shards > 0 { self.hub_shards } else { workers.min(64) };
         shards.clamp(1, self.ranks.max(1))
     }
 }
@@ -233,6 +236,10 @@ pub struct RunReport {
     pub iterations: Vec<IterationStats>,
     /// Iterations at which an LB step was recorded.
     pub lb_iterations: Vec<u64>,
+    /// Leaf shard count the rendezvous hub ran with (the resolved
+    /// [`RunConfig::hub_shards`]). Contention metadata only: it never
+    /// influences the measurements above.
+    pub hub_shards: usize,
 }
 
 impl RunReport {
@@ -278,10 +285,10 @@ pub(crate) struct RunShared {
 static NEXT_JOB_ID: AtomicU64 = AtomicU64::new(1);
 
 impl RunShared {
-    pub(crate) fn new(config: &RunConfig) -> Arc<Self> {
+    pub(crate) fn new(config: &RunConfig, hub_shards: usize) -> Arc<Self> {
         let job = NEXT_JOB_ID.fetch_add(1, Ordering::Relaxed);
         Arc::new(Self {
-            hub: Hub::for_job(job, config.ranks, config.effective_hub_shards()),
+            hub: Hub::for_job(job, config.ranks, hub_shards),
             mail: MailboxSet::new(config.ranks),
             collector: Collector::new(config.ranks),
             spec: config.spec.clone(),
@@ -321,6 +328,7 @@ impl RunShared {
             final_clocks,
             iterations: self.collector.iteration_stats(),
             lb_iterations: self.collector.lb_iterations(),
+            hub_shards: self.hub.shard_count(),
         }
     }
 }

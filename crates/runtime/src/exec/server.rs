@@ -700,7 +700,8 @@ impl JobServer {
     /// Submit `body` as an SPMD job over `config.ranks` ranks; returns
     /// immediately with a handle. The job runs on this server's workers
     /// (whatever `config.server` says), at `config.priority`, with its own
-    /// hub/mailbox namespace and job id. See [`crate::run`] for the body
+    /// hub/mailbox namespace and job id; an automatic hub shard count is
+    /// sized for this server's workers. See [`crate::run`] for the body
     /// contract; the future must be `'static` because it outlives the
     /// submitting stack frame.
     pub fn submit<F, Fut>(&self, config: RunConfig, body: F) -> JobHandle
@@ -709,7 +710,7 @@ impl JobServer {
         Fut: Future<Output = ()> + Send + 'static,
     {
         assert!(config.ranks >= 1, "need at least one rank");
-        let shared = RunShared::new(&config);
+        let shared = RunShared::new(&config, config.hub_shards_for(self.workers()));
         let ranks = config.ranks;
         let core = Arc::clone(&self.core);
         let job = Arc::new_cyclic(|weak: &Weak<Job>| Job {
@@ -840,8 +841,8 @@ impl JobHandle {
 
 /// Worker count a [`RunConfig`] resolves to: the explicit
 /// [`RunConfig::workers`] if nonzero, otherwise the machine's available
-/// parallelism; never more than `ranks`. Also the basis of the default hub
-/// shard count ([`RunConfig::effective_hub_shards`]).
+/// parallelism; never more than `ranks`. The size of the transient pool
+/// [`execute`] stands up.
 pub(crate) fn effective_workers(config: &RunConfig) -> usize {
     let requested = if config.workers > 0 {
         config.workers

@@ -33,7 +33,7 @@
 //!
 //! Collectives rendezvous at a **sharded** hub: ranks deposit into
 //! `S` leaf shards (one lock each, [`RunConfig::with_hub_shards`] /
-//! `ULBA_HUB_SHARDS`; default `min(workers, 64)`) whose completions
+//! `ULBA_HUB_SHARDS`; default `min(server workers, 64)`) whose completions
 //! combine up a fixed-arity reduction tree, so at `P = 16384` a deposit
 //! contends with `P/S` ranks instead of all of them.
 //!
@@ -506,5 +506,12 @@ mod tests {
         assert_eq!(wide.effective_hub_shards(), 64, "auto sharding caps at 64");
         let tiny = RunConfig::new(2).with_workers(200);
         assert!(tiny.with_hub_shards(0).effective_hub_shards() <= 2);
+        // A submitted job's automatic count follows the server it runs
+        // on, not the configuration's worker count or the core count.
+        for workers in [1usize, 2] {
+            let server = JobServer::new(workers);
+            let report = server.submit(RunConfig::defaults(8), |_| async {}).join().unwrap();
+            assert_eq!(report.hub_shards, workers, "server with {workers} workers");
+        }
     }
 }

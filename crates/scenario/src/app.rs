@@ -1,43 +1,27 @@
-//! The scenario application: adversarial generated work driven through the
-//! full ULBA machinery on the SPMD runtime.
+//! The scenario application: one range of generated tasks per rank, as a
+//! [`Workload`] of the ULBA rank loop in [`ulba_core::driver`], which
+//! documents the per-iteration steps.
 //!
-//! Per iteration, each rank:
+//! The range's part of an iteration is the compute of the tasks it owns,
+//! as the active phase of the generated [`WorkTable`] dictates, plus (for
+//! the task-graph family) traffic pushed to pseudo-random partners and
+//! drained after the iteration-end sync. Migration charges the modelled
+//! cost of the tasks that changed owner.
 //!
-//! 1. (task-graph only) pushes traffic payloads to pseudo-random partners —
-//!    irregular point-to-point communication beyond the halo-only BSP
-//!    baseline;
-//! 2. charges the compute of the tasks it currently owns, as dictated by
-//!    the active phase of the generated [`WorkTable`];
-//! 3. updates its WIR estimate and performs one gossip dissemination step;
-//! 4. joins the iteration-end `allgather` carrying `(elapsed, workload)`;
-//! 5. learns (via broadcast from rank 0) whether to run the LB step; if so,
-//!    computes its α from its WIR outlier score, joins the centralized
-//!    rebalancing over per-task weights, and charges the modelled
-//!    migration cost of the tasks that changed owner.
-//!
-//! The three entry points mirror the erosion app's: [`run_scenario`]
-//! (blocking), [`submit_scenario`] (enqueue on a shared [`JobServer`]), and
+//! The entry points mirror the erosion app's: [`run_scenario`] (blocking),
+//! [`submit_scenario`] (enqueue on a shared [`JobServer`]) and
 //! [`run_scenario_batch`] (submit a sweep, join in order) — all
 //! bit-identical for the same config.
 
 use crate::config::ScenarioConfig;
 use crate::generator::{ScenarioKind, WorkTable};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::future::Future;
 use std::ops::Range;
-use std::pin::Pin;
 use std::sync::Arc;
-use ulba_core::balancer::centralized_rebalance;
-use ulba_core::db::{wire_bytes, WirDatabase, WirEntry};
-use ulba_core::gossip::{select_peers, GossipMode, GossipOutbox};
-use ulba_core::policy::{estimate_ulba_overhead, outlier_score};
-use ulba_core::trigger::{AnyTrigger, LbTrigger};
-use ulba_core::wir::WirEstimator;
-use ulba_runtime::{
-    run, IterationStats, JobHandle, JobServer, MachineSpec, RankMetrics, RunConfig, RunReport,
-    SpmdCtx, Tag,
-};
+use ulba_core::driver::{run_batch, Experiment, Job, LoopConfig, Outcome, Workload};
+use ulba_core::gossip::{select_peers, GossipMode};
+use ulba_core::partition::Partition;
+use ulba_runtime::{IterationStats, JobServer, MachineSpec, RankMetrics, RunConfig, SpmdCtx, Tag};
 
 /// Message tag of gossip snapshots (distinct from the erosion app's).
 pub const GOSSIP_TAG: Tag = 0x5C47;
@@ -93,17 +77,6 @@ fn traffic_payload(rank: usize, iter: u64, words: usize, seed: u64) -> Vec<u64> 
     (0..words as u64).map(|i| key.wrapping_mul(i.wrapping_add(1))).collect()
 }
 
-/// Out-of-band measurements a run records on its way out; a side channel,
-/// not a collective — it must not perturb the virtual-time measurements.
-#[derive(Default)]
-struct SideChannels {
-    /// `(total work units, traffic checksum)`, recorded by rank 0.
-    extras: Mutex<Option<(u64, u64)>>,
-    /// Aggregate memory accounting `(db entries, gossip watermarks)`,
-    /// summed by every rank on its way out.
-    db_footprint: Mutex<(u64, u64)>,
-}
-
 /// Tasks migrated when this rank's range changes from `old` to `new`:
 /// everything it gave up plus everything it received (both directions
 /// cost wire time on this rank's clock).
@@ -112,171 +85,100 @@ fn tasks_moved(old: &Range<usize>, new: &Range<usize>) -> usize {
     (old.len() - overlap) + (new.len() - overlap)
 }
 
-/// One rank's whole program, from initial task range to final accounting.
-async fn rank_program(
-    mut ctx: SpmdCtx,
+/// One rank's task range and its running totals.
+struct TaskRange {
     cfg: Arc<ScenarioConfig>,
     table: Arc<WorkTable>,
-    side: Arc<SideChannels>,
-) {
-    let rank = ctx.rank();
-    let p = ctx.size();
-    let tpr = cfg.tasks_per_rank;
-    let mut my_range = rank * tpr..(rank + 1) * tpr;
-    let mut wir = WirEstimator::new(cfg.wir_window);
-    let mut db = WirDatabase::new(p);
-    let mut outbox = GossipOutbox::new();
-    let mut trigger: Option<AnyTrigger> = None;
-    let mut weights_scratch: Vec<u64> = Vec::new();
-    let mut units_done = 0u64;
-    let mut traffic_checksum = 0u64;
-    // Decorrelate the traffic partner stream from the gossip stream.
-    let traffic_seed = cfg.seed ^ 0x7AF1_C0DE;
+    range: Range<usize>,
+    weights: Vec<u64>,
+    units_done: u64,
+    traffic_checksum: u64,
+}
 
-    for iter in 0..cfg.iterations {
-        let iter_start = ctx.now();
-        let phase = table.phase_of(iter, cfg.phase_len);
+/// Rank 0's end-of-run totals.
+struct Totals {
+    work_units: u64,
+    traffic_checksum: u64,
+    /// `(target, achieved)` λ of the work table.
+    lambda: (f64, f64),
+}
 
-        // (1) Irregular task-graph traffic (beyond the halo-only baseline).
+impl Workload for TaskRange {
+    type Summary = Totals;
+
+    async fn iterate(&mut self, ctx: &mut SpmdCtx, iter: u64) -> f64 {
+        let cfg = &self.cfg;
         if cfg.kind == ScenarioKind::TaskGraph {
+            // Decorrelate the traffic partner stream from the gossip stream.
             let partners = select_peers(
                 GossipMode::RandomPush { fanout: cfg.traffic_fanout },
-                rank,
-                p,
+                ctx.rank(),
+                ctx.size(),
                 iter,
-                traffic_seed,
+                cfg.seed ^ 0x7AF1_C0DE,
             );
             for peer in partners {
-                let payload = traffic_payload(rank, iter, cfg.traffic_payload_len, cfg.seed);
+                let payload = traffic_payload(ctx.rank(), iter, cfg.traffic_payload_len, cfg.seed);
                 let bytes = payload.len() * 8;
                 ctx.send(peer, TRAFFIC_TAG, payload, bytes);
             }
         }
-
-        // (2) Compute the tasks this rank currently owns.
-        let units = table.range_units(phase, &my_range, tpr);
-        units_done += units;
+        let phase = self.table.phase_of(iter, cfg.phase_len);
+        let units = self.table.range_units(phase, &self.range, cfg.tasks_per_rank);
+        self.units_done += units;
         let workload_flops = units as f64 * cfg.flop_per_unit;
         ctx.compute(workload_flops);
+        workload_flops
+    }
 
-        // (3) WIR measurement + one gossip dissemination step.
-        wir.push(iter, workload_flops);
-        if let Some(rate) = wir.rate() {
-            db.update(WirEntry { rank, wir: rate, iteration: iter });
-        }
-        for peer in select_peers(cfg.gossip, rank, p, iter, cfg.seed) {
-            let payload = outbox.message(&db, peer, iter, cfg.gossip_wire);
-            let payload_bytes = wire_bytes(&payload);
-            ctx.send(peer, GOSSIP_TAG, payload, payload_bytes);
-        }
-
-        // (4) Iteration-end sync: share (elapsed, workload).
-        let elapsed = ctx.now() - iter_start;
-        let (t_iter, wtot_flops) = ctx
-            .allgather_fold((elapsed, workload_flops), 16, |stats| {
-                let t_iter = stats.iter().map(|s| s.0).fold(0.0f64, f64::max);
-                let wtot_flops: f64 = stats.iter().map(|s| s.1).sum();
-                (t_iter, wtot_flops)
-            })
-            .await;
-
-        // Drain after the rendezvous: every message posted this iteration
-        // is guaranteed present, so the merged set is deterministic.
-        for (_, snap) in ctx.drain::<Vec<WirEntry>>(GOSSIP_TAG) {
-            db.merge(&snap);
-        }
+    fn after_sync(&mut self, ctx: &mut SpmdCtx) {
         // Wrapping sums are commutative: the checksum is independent of
         // arrival order, hence bit-identical across worker counts.
         for (_, payload) in ctx.drain::<Vec<u64>>(TRAFFIC_TAG) {
             for word in payload {
-                traffic_checksum = traffic_checksum.wrapping_add(word);
+                self.traffic_checksum = self.traffic_checksum.wrapping_add(word);
             }
-        }
-
-        // (5) LB decision on rank 0, broadcast to everyone.
-        let my_flag = if rank == 0 {
-            let trig = trigger
-                .get_or_insert_with(|| cfg.trigger.build(cfg.initial_lb_cost_factor * t_iter));
-            trig.set_overhead_estimate(estimate_ulba_overhead(
-                &cfg.policy,
-                &db,
-                wtot_flops,
-                cfg.omega,
-                p,
-            ));
-            Some(trig.observe(iter, t_iter))
-        } else {
-            None
-        };
-        let lb_now = ctx.broadcast(0, my_flag, 1).await;
-        ctx.mark_iteration(iter);
-
-        // (6) The LB step over per-task weights of the *current* phase.
-        if lb_now && iter + 1 < cfg.iterations {
-            ctx.begin_lb();
-            let lb_started = ctx.now();
-            ctx.elapse_lb(cfg.lb_fixed_cost_secs());
-            let my_z = outlier_score(&cfg.policy, &db, rank);
-            let my_alpha = cfg.policy.alpha_for(my_z);
-            table.task_weights_into(phase, &my_range, tpr, &mut weights_scratch);
-            let outcome =
-                centralized_rebalance(&mut ctx, my_alpha, my_range.start, &weights_scratch).await;
-            let bounds = outcome.partition.bounds();
-            let new_range = bounds[rank]..bounds[rank + 1];
-            // Migration cost: tasks that changed owner drag `task_bytes`
-            // each over the wire (modelled — the tasks have no real
-            // payload state, their weight lives in the table).
-            let moved = tasks_moved(&my_range, &new_range);
-            if moved > 0 {
-                ctx.elapse_lb(ctx.machine().p2p_secs(moved * cfg.task_bytes));
-            }
-            my_range = new_range;
-            let measured = ctx.now() - lb_started;
-            let cost = ctx.allreduce_max(measured).await;
-            ctx.end_lb();
-            if rank == 0 {
-                if let Some(trig) = trigger.as_mut() {
-                    trig.lb_completed(iter, cost);
-                }
-                ctx.mark_lb_event(iter);
-            }
-            // Workload jumped with the migration: restart the local WIR
-            // estimate (persistence applies *between* LB steps).
-            wir.reset();
         }
     }
 
-    // Final accounting: work conservation across whatever partitions the
-    // balancer produced, plus the order-independent traffic checksum.
-    let total_units = ctx.allreduce(units_done, 8, |a, b| a.wrapping_add(*b)).await;
-    assert_eq!(
-        total_units,
-        cfg.iterations * table.total_units,
-        "work conservation: every unit is executed exactly once per iteration"
-    );
-    let checksum = ctx.allreduce(traffic_checksum, 8, |a, b| a.wrapping_add(*b)).await;
-    if rank == 0 {
-        *side.extras.lock() = Some((total_units, checksum));
+    fn lb_weights(&mut self, _ctx: &mut SpmdCtx, iter: u64) -> (usize, &[u64]) {
+        // Per-task weights of the *current* phase.
+        let (cfg, table) = (&self.cfg, &self.table);
+        let phase = table.phase_of(iter, cfg.phase_len);
+        table.task_weights_into(phase, &self.range, cfg.tasks_per_rank, &mut self.weights);
+        (self.range.start, &self.weights)
     }
-    let mut footprint = side.db_footprint.lock();
-    footprint.0 += db.known_count() as u64;
-    footprint.1 += outbox.tracked_peers() as u64;
+
+    async fn migrate(&mut self, ctx: &mut SpmdCtx, partition: Partition, _iter: u64) {
+        let new_range = partition.range(ctx.rank());
+        // Migration cost: tasks that changed owner drag `task_bytes` each
+        // over the wire (modelled — the tasks have no real payload state,
+        // their weight lives in the table).
+        let moved = tasks_moved(&self.range, &new_range);
+        if moved > 0 {
+            ctx.elapse_lb(ctx.machine().p2p_secs(moved * self.cfg.task_bytes));
+        }
+        self.range = new_range;
+    }
+
+    async fn finish(self, ctx: &mut SpmdCtx) -> Totals {
+        // Work conservation across whatever partitions the balancer
+        // produced, plus the order-independent traffic checksum.
+        let work_units = ctx.allreduce(self.units_done, 8, |a, b| a.wrapping_add(*b)).await;
+        assert_eq!(
+            work_units,
+            self.cfg.iterations * self.table.total_units,
+            "work conservation: every unit is executed exactly once per iteration"
+        );
+        let traffic_checksum =
+            ctx.allreduce(self.traffic_checksum, 8, |a, b| a.wrapping_add(*b)).await;
+        let lambda = (self.table.lambda_target, self.table.lambda_achieved);
+        Totals { work_units, traffic_checksum, lambda }
+    }
 }
 
-/// The rank-body shape every execution path shares (see the erosion app).
-type ScenarioBody = Box<dyn Fn(SpmdCtx) -> Pin<Box<dyn Future<Output = ()> + Send>> + Send + Sync>;
-
-/// A validated experiment, ready to execute.
-struct PreparedRun {
-    run_cfg: RunConfig,
-    hub_shards: usize,
-    lambda: (f64, f64),
-    side: Arc<SideChannels>,
-    body: ScenarioBody,
-}
-
-/// Validate `cfg`, build the work table once, and package the rank body.
-fn prepare(cfg: &ScenarioConfig) -> PreparedRun {
+/// Validate `cfg`, build the work table once, and package the experiment.
+fn prepare(cfg: &ScenarioConfig) -> Experiment<TaskRange, ScenarioResult> {
     cfg.validate().expect("invalid scenario config");
     let table = Arc::new(
         WorkTable::build(
@@ -289,42 +191,42 @@ fn prepare(cfg: &ScenarioConfig) -> PreparedRun {
         )
         .expect("config validation admits only feasible tables"),
     );
-    let lambda = (table.lambda_target, table.lambda_achieved);
-    let spec = MachineSpec::homogeneous(cfg.omega);
-    let side = Arc::new(SideChannels::default());
-
     let mut cfg = cfg.clone();
     let server = cfg.server.take();
-    let mut run_cfg = RunConfig::new(cfg.ranks).with_spec(spec);
-    if let Some(workers) = cfg.workers {
-        run_cfg = run_cfg.with_workers(workers);
-    }
-    if let Some(hub_shards) = cfg.hub_shards {
-        run_cfg = run_cfg.with_hub_shards(hub_shards);
-    }
-    if let Some(server) = server {
-        run_cfg = run_cfg.with_server(server);
-    }
-    let hub_shards = run_cfg.effective_hub_shards();
-
+    let mut run_cfg = RunConfig::new(cfg.ranks).with_spec(MachineSpec::homogeneous(cfg.omega));
+    run_cfg.workers = cfg.workers.unwrap_or(run_cfg.workers);
+    run_cfg.hub_shards = cfg.hub_shards.unwrap_or(run_cfg.hub_shards);
+    run_cfg.server = server;
+    let loop_cfg = LoopConfig {
+        iterations: cfg.iterations,
+        policy: cfg.policy,
+        trigger: cfg.trigger,
+        initial_lb_cost_factor: cfg.initial_lb_cost_factor,
+        lb_fixed_secs: cfg.lb_fixed_cost_secs(),
+        gossip: cfg.gossip,
+        gossip_wire: cfg.gossip_wire,
+        gossip_tag: GOSSIP_TAG,
+        wir_window: cfg.wir_window,
+        seed: cfg.seed,
+    };
     let cfg = Arc::new(cfg);
-    let side_tx = Arc::clone(&side);
-    let body: ScenarioBody = Box::new(move |ctx| {
-        Box::pin(rank_program(ctx, Arc::clone(&cfg), Arc::clone(&table), Arc::clone(&side_tx)))
-    });
-    PreparedRun { run_cfg, hub_shards, lambda, side, body }
+    let make = move |ctx: &SpmdCtx| {
+        let tpr = cfg.tasks_per_rank;
+        TaskRange {
+            cfg: Arc::clone(&cfg),
+            table: Arc::clone(&table),
+            range: ctx.rank() * tpr..(ctx.rank() + 1) * tpr,
+            weights: Vec::new(),
+            units_done: 0,
+            traffic_checksum: 0,
+        }
+    };
+    Experiment::new(run_cfg, loop_cfg, make, assemble)
 }
 
-/// Combine the runtime's report with the run's side channels.
-fn assemble(
-    report: RunReport,
-    side: &SideChannels,
-    hub_shards: usize,
-    lambda: (f64, f64),
-) -> ScenarioResult {
-    let (total_work_units, traffic_checksum) =
-        side.extras.lock().take().expect("rank 0 recorded the extras");
-    let (db_entries_total, gossip_watermarks_total) = *side.db_footprint.lock();
+/// Combine the loop's outcome into the final measurements.
+fn assemble(out: Outcome<Totals>) -> ScenarioResult {
+    let report = out.report;
     ScenarioResult {
         makespan: report.makespan().as_secs(),
         lb_calls: report.lb_call_count(),
@@ -332,76 +234,36 @@ fn assemble(
         mean_utilization: report.mean_utilization(),
         iterations: report.iterations,
         rank_metrics: report.rank_metrics,
-        hub_shards,
-        db_entries_total,
-        gossip_watermarks_total,
-        total_work_units,
-        traffic_checksum,
-        lambda_target: lambda.0,
-        lambda_achieved: lambda.1,
+        hub_shards: report.hub_shards,
+        db_entries_total: out.db_entries_total,
+        gossip_watermarks_total: out.gossip_watermarks_total,
+        total_work_units: out.summary.work_units,
+        traffic_checksum: out.summary.traffic_checksum,
+        lambda_target: out.summary.lambda.0,
+        lambda_achieved: out.summary.lambda.1,
     }
 }
 
 /// Run one scenario experiment and collect its measurements.
 pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
-    let prepared = prepare(cfg);
-    let report = run(prepared.run_cfg, prepared.body);
-    assemble(report, &prepared.side, prepared.hub_shards, prepared.lambda)
+    prepare(cfg).run()
 }
 
 /// A submitted scenario experiment; see [`submit_scenario`].
-pub struct ScenarioJob {
-    handle: JobHandle,
-    side: Arc<SideChannels>,
-    hub_shards: usize,
-    lambda: (f64, f64),
-}
-
-impl std::fmt::Debug for ScenarioJob {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScenarioJob").field("job", &self.id()).finish()
-    }
-}
-
-impl ScenarioJob {
-    /// The runtime job id of the experiment.
-    pub fn id(&self) -> u64 {
-        self.handle.id()
-    }
-
-    /// Block until the experiment finishes and collect its measurements.
-    pub fn join(self) -> ScenarioResult {
-        let report = self.handle.join().unwrap_or_else(|err| panic!("{err}"));
-        assemble(report, &self.side, self.hub_shards, self.lambda)
-    }
-}
+pub type ScenarioJob = Job<ScenarioResult>;
 
 /// Submit one experiment to `server` without waiting for it. The
 /// measurements are bit-identical to a serial [`run_scenario`] of the same
 /// config.
 pub fn submit_scenario(server: &JobServer, cfg: &ScenarioConfig) -> ScenarioJob {
-    let prepared = prepare(cfg);
-    let handle = server.submit(prepared.run_cfg, prepared.body);
-    ScenarioJob {
-        handle,
-        side: prepared.side,
-        hub_shards: prepared.hub_shards,
-        lambda: prepared.lambda,
-    }
+    prepare(cfg).submit(server)
 }
 
 /// Run a whole sweep concurrently on a shared pool and return the results
 /// in input order. Each config routes to its own
 /// [`ScenarioConfig::server`] when set, else to [`JobServer::global`].
 pub fn run_scenario_batch(cfgs: &[ScenarioConfig]) -> Vec<ScenarioResult> {
-    let jobs: Vec<ScenarioJob> = cfgs
-        .iter()
-        .map(|cfg| match &cfg.server {
-            Some(server) => submit_scenario(server, cfg),
-            None => submit_scenario(JobServer::global(), cfg),
-        })
-        .collect();
-    jobs.into_iter().map(ScenarioJob::join).collect()
+    run_batch(cfgs.iter().map(prepare))
 }
 
 #[cfg(test)]
